@@ -625,42 +625,33 @@ let analysis_bench () =
 
 let replay_bench () =
   header "Replay: recording overhead vs live, replay speedup (lib/replay)";
-  let boot_for (a : Apps.Suite.app) =
-    let kernel = Kernel.Task.boot () in
-    a.Apps.Suite.a_setup kernel;
-    if a.Apps.Suite.a_stdin <> "" then begin
-      Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-      Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-    end;
-    kernel
-  in
   Printf.printf "%-10s %8s %9s %9s %9s %8s %9s %9s\n" "app" "calls" "live"
     "record" "replay" "overhead" "speedup" "bytes";
   let rp_metrics = ref [] in
   let tl = ref 0.0 and tc = ref 0.0 and tp = ref 0.0 in
   List.iter
     (fun (a : Apps.Suite.app) ->
-      let binary = Apps.Suite.binary_of a in
+      let t = Apps.Suite.target a in
+      let binary = t.Apps.Suite.t_binary in
+      let boot () = Apps.Suite.boot t in
       let live =
         time_ms (fun () ->
-            let kernel = boot_for a in
             ignore
-              (Wali.Interface.run_program ~kernel ~binary
+              (Wali.Interface.run_program ~kernel:(boot ()) ~binary
                  ~argv:a.Apps.Suite.a_argv ~env:[] ()))
       in
       (* one recording pins the trace (deterministic); the timing samples
          then record afresh each pass *)
       let run =
-        let kernel = boot_for a in
-        Replay.Recorder.record ~app:a.Apps.Suite.a_name ~kernel ~binary
-          ~argv:a.Apps.Suite.a_argv ~env:[] ()
+        Replay.Recorder.record ~app:a.Apps.Suite.a_name ~kernel:(boot ())
+          ~binary ~argv:a.Apps.Suite.a_argv ~env:[] ()
       in
       let record =
         time_ms (fun () ->
-            let kernel = boot_for a in
             ignore
-              (Replay.Recorder.record ~app:a.Apps.Suite.a_name ~kernel ~binary
-                 ~argv:a.Apps.Suite.a_argv ~env:[] ()))
+              (Replay.Recorder.record ~app:a.Apps.Suite.a_name
+                 ~kernel:(boot ()) ~binary ~argv:a.Apps.Suite.a_argv ~env:[]
+                 ()))
       in
       let trace =
         Replay.Trace.decode
@@ -669,8 +660,7 @@ let replay_bench () =
       let replay =
         time_ms (fun () ->
             let o =
-              Replay.Replayer.replay ~setup:a.Apps.Suite.a_setup ~trace ~binary
-                ()
+              Replay.Replayer.replay ~kernel:(boot ()) ~trace ~binary ()
             in
             if not (Replay.Replayer.converged o) then
               Printf.printf "!! %s diverged on replay\n" a.Apps.Suite.a_name)

@@ -1,28 +1,29 @@
-(* waliperf — the performance observatory CLI (`dune build @perf`).
+(* waliperf — the performance observatory CLI and the gate
+   (`dune build @gate`).
 
      dune exec bin/waliperf.exe -- run -o BENCH_perf.json
      dune exec bin/waliperf.exe -- compare baseline.json current.json
      dune exec bin/waliperf.exe -- diff base.folded cur.folded
      dune exec bin/waliperf.exe -- baseline update
-     dune exec bin/waliperf.exe -- gate --quiet      # the CI gate (@perf)
+     dune exec bin/waliperf.exe -- gate --quiet      # the CI gate (@gate)
 
-   `run` executes every bundled app with metrics + profiling on and
-   emits the deterministic counters (instructions retired, syscall
-   crossings, virtual-clock ns) as a `wali-bench v1` JSON document.
-   `gate` compares such a run against the committed baselines under
-   bench/baselines/ at zero tolerance — any counter drift is a real
-   behavior change — and names the responsible frames and syscalls by
-   diffing the run's folded-stack profile against the baseline profile.
-   `baseline update` is the deliberate way to accept a new truth. *)
+   `run` records every bundled app once, under its derived allowlist
+   with every observability pillar on, and emits the deterministic
+   counters (instructions retired, syscall crossings, virtual-clock ns)
+   as a `wali-bench v1` JSON document. `gate` checks that same run per
+   app: static ⊇ dynamic, valid artifacts, fused = unfused traces,
+   replay convergence, and counters against the committed baselines
+   under bench/baselines/ at zero tolerance — any drift is a real
+   behavior change, and the gate names the responsible frames and
+   syscalls by diffing the run's folded-stack profile against the
+   baseline profile. `baseline update` is the deliberate way to accept
+   a new truth. *)
 
 open Cmdliner
 
 let default_dir = "bench/baselines"
 let det_file dir = Filename.concat dir "deterministic.json"
 let folded_file dir app = Filename.concat dir (app ^ ".folded")
-
-let write_file f s =
-  Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
 
 let read_file f =
   match In_channel.with_open_bin f In_channel.input_all with
@@ -50,7 +51,7 @@ let run_cmd no_fuse walls out =
       exit 1);
   match out with
   | Some f ->
-      write_file f json;
+      Cli.write_file f json;
       Printf.printf "waliperf: wrote %d scenarios to %s\n"
         (List.length model.Perf.Model.b_scenarios)
         f
@@ -100,7 +101,9 @@ let baseline_cmd dir =
   let model, profiles = Perf.Scenario.run_suite () in
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   Perf.Model.save (det_file dir) model;
-  List.iter (fun (app, folded) -> write_file (folded_file dir app) folded) profiles;
+  List.iter
+    (fun (app, folded) -> Cli.write_file (folded_file dir app) folded)
+    profiles;
   Printf.printf
     "waliperf: baseline updated: %s (%d scenarios) + %d folded profiles in %s\n"
     (det_file dir)
@@ -109,40 +112,21 @@ let baseline_cmd dir =
 
 (* ---- gate ---- *)
 
-(* Flamegraph-diff every drifted app against its baseline profile; the
-   responsible frames and syscall leaves name the behavior change. *)
-let gate_diffs dir (drift : Perf.Baseline.row list)
-    (profiles : (string * string) list) : string =
-  let apps =
-    List.filter_map
-      (fun (r : Perf.Baseline.row) ->
-        let sc = r.Perf.Baseline.r_scenario in
-        if String.length sc > 4 && String.sub sc 0 4 = "app/" then
-          Some (String.sub sc 4 (String.length sc - 4))
-        else None)
-      drift
-    |> List.sort_uniq compare
-  in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun app ->
-      match (read_file (folded_file dir app), List.assoc_opt app profiles) with
-      | Some base, Some cur -> (
-          match Perf.Diffprof.diff ~base ~cur with
-          | Ok d ->
-              Printf.bprintf b "--- %s ---\n%s" app (Perf.Diffprof.render d)
-          | Error e -> Printf.bprintf b "--- %s ---\ndiff failed: %s\n" app e)
-      | None, _ ->
-          Printf.bprintf b "--- %s ---\nno baseline profile %s\n" app
-            (folded_file dir app)
-      | _, None -> Printf.bprintf b "--- %s ---\nno current profile\n" app)
-    apps;
-  Buffer.contents b
-
 let gate_cmd dir out report quiet =
-  let model, profiles = Perf.Scenario.run_suite () in
-  let json = Perf.Model.to_json model in
-  (match out with Some f -> write_file f json | None -> ());
+  (* an app whose run raises fails the gate by name; the others still run *)
+  let results, crashed =
+    List.partition_map
+      (fun (a : Apps.Suite.app) ->
+        match Perf.Scenario.run_app a with
+        | r -> Left r
+        | exception e ->
+            Right
+              (Printf.sprintf "%s: run: %s" a.Apps.Suite.a_name
+                 (Printexc.to_string e)))
+      Apps.Suite.all
+  in
+  let model, _ = Perf.Scenario.suite_model results in
+  Option.iter (fun f -> Cli.write_file f (Perf.Model.to_json model)) out;
   let base =
     match Perf.Model.load (det_file dir) with
     | Ok m -> m
@@ -153,34 +137,44 @@ let gate_cmd dir out report quiet =
           (det_file dir) e dir;
         exit 1
   in
-  let rows = Perf.Baseline.compare_runs ~base ~cur:model () in
-  let drift = Perf.Baseline.counter_drift rows in
-  if drift = [] then begin
+  let v =
+    Perf.Scenario.gate ~base
+      ~base_folded:(fun app -> read_file (folded_file dir app))
+      results
+  in
+  let rows = v.Perf.Scenario.v_rows in
+  let failures = crashed @ v.Perf.Scenario.v_failures in
+  if failures = [] then begin
     let msg =
       Printf.sprintf
-        "waliperf: %d deterministic metrics across %d scenarios match the baseline\n"
-        (List.length rows)
+        "waliperf: %d apps, one recorded run each: static ⊇ dynamic with 0 \
+         denials, valid artifacts, fused = unfused traces, replay \
+         converged; %d deterministic metrics across %d scenarios match the \
+         baseline\n"
+        (List.length results) (List.length rows)
         (List.length model.Perf.Model.b_scenarios)
     in
-    (match report with Some f -> write_file f ("no drift\n" ^ msg) | None -> ());
-    if quiet then print_string msg
-    else print_string (Perf.Baseline.render ~all:true rows ^ msg);
+    Option.iter (fun f -> Cli.write_file f ("no drift\n" ^ msg)) report;
+    print_string
+      (if quiet then msg else Perf.Baseline.render ~all:true rows ^ msg);
     exit 0
-  end
-  else begin
-    let diffs = gate_diffs dir drift profiles in
-    let body =
+  end;
+  let drift = Perf.Baseline.counter_drift rows in
+  let body =
+    String.concat "" (List.map (fun f -> "waliperf: " ^ f ^ "\n") failures)
+    ^
+    if drift = [] then ""
+    else
       Perf.Baseline.render rows
       ^ Printf.sprintf
           "waliperf: %d deterministic counter(s) drifted from the baseline\n\
            (a deliberate change? run `waliperf baseline update` and commit)\n"
           (List.length drift)
-      ^ diffs
-    in
-    (match report with Some f -> write_file f body | None -> ());
-    prerr_string body;
-    exit 1
-  end
+      ^ v.Perf.Scenario.v_diffs
+  in
+  Option.iter (fun f -> Cli.write_file f body) report;
+  prerr_string body;
+  exit 1
 
 (* ---- cmdliner plumbing ---- *)
 
@@ -265,9 +259,10 @@ let gate_c =
   Cmd.v
     (Cmd.info "gate"
        ~doc:
-         "Run the deterministic scenarios against the committed baseline; \
-          fail on any counter drift, naming the responsible frames via the \
-          flamegraph diff")
+         "Record every bundled app once and check that run: static ⊇ \
+          dynamic, valid artifacts, fused = unfused traces, replay \
+          convergence, and zero counter drift against the committed \
+          baseline (naming the responsible frames via the flamegraph diff)")
     Term.(const gate_cmd $ dir_t $ out_t $ report_t $ quiet_t)
 
 let cmd =

@@ -4,100 +4,37 @@
      dune exec bin/walireplay.exe -- replay calc.trace
      dune exec bin/walireplay.exe -- report calc.trace
      dune exec bin/walireplay.exe -- reduce big.trace -o small.trace --prefix 100
-     dune exec bin/walireplay.exe -- gate --quiet     # the CI gate (@replay)
 
-   Recording runs a bundled app (or a raw .wasm binary) exactly like the
-   test suite does — same setup, same scripted stdin — and captures every
+   Recording runs a bundled app (or a raw .wasm binary) on the kernel
+   Apps.Suite.boot prepares — the same setup and scripted stdin the test
+   suite and the gate use — and captures every
    event that crosses the thin interface. Replaying re-runs the module
    with the kernel swapped out for the log and reports the first
    divergence, if any. *)
 
 open Cmdliner
 
-type target = {
-  t_name : string;
-  t_binary : string;
-  t_setup : Kernel.Task.kernel -> unit;
-  t_stdin : string;
-  t_argv : string list;
-}
-
-let target_of_app (a : Apps.Suite.app) =
-  {
-    t_name = a.Apps.Suite.a_name;
-    t_binary = Apps.Suite.binary_of a;
-    t_setup = a.Apps.Suite.a_setup;
-    t_stdin = a.Apps.Suite.a_stdin;
-    t_argv = a.Apps.Suite.a_argv;
-  }
-
-let target_of_file f =
-  let binary =
-    try In_channel.with_open_bin f In_channel.input_all
-    with Sys_error e ->
-      Printf.eprintf "walireplay: %s\n" e;
-      exit 1
-  in
-  {
-    t_name = Filename.basename f;
-    t_binary = binary;
-    t_setup = (fun _ -> ());
-    t_stdin = "";
-    t_argv = [ Filename.basename f ];
-  }
-
-let find_app name =
-  match Apps.Suite.find name with
-  | Some a -> a
-  | None ->
-      Printf.eprintf "walireplay: unknown app %s; available: %s\n" name
-        (String.concat ", "
-           (List.map (fun a -> a.Apps.Suite.a_name) Apps.Suite.all));
-      exit 2
-
-(* Record one target the way Suite.run drives it: boot, app setup,
-   scripted stdin (EOF via dropped writer), then the recorded run. *)
-let record_target ?(fuse = true) (t : target) : Replay.Recorder.run =
-  let kernel = Kernel.Task.boot () in
-  t.t_setup kernel;
-  if t.t_stdin <> "" then begin
-    Kernel.Task.console_feed kernel t.t_stdin;
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
-  Replay.Recorder.record ~app:t.t_name ~fuse ~kernel ~binary:t.t_binary
-    ~argv:t.t_argv ~env:[] ()
-
-let load_trace file =
-  match Replay.Trace.load file with
-  | tr -> tr
-  | exception Replay.Trace.Corrupt msg ->
-      Printf.eprintf "walireplay: %s: corrupt trace: %s\n" file msg;
-      exit 1
-  | exception Replay.Trace.Bad_version v ->
-      Printf.eprintf
-        "walireplay: %s: trace format version %d, this build reads version %d\n"
-        file v Replay.Trace.version;
-      exit 1
-  | exception Sys_error e ->
-      Printf.eprintf "walireplay: %s\n" e;
-      exit 1
+let load_trace = Cli.load_trace "walireplay"
 
 (* ---- record ---- *)
 
 let record_cmd file app out =
   let t =
     match (app, file) with
-    | Some name, None -> target_of_app (find_app name)
-    | None, Some f -> target_of_file f
+    | Some name, None -> Cli.load_target "walireplay" (`App name)
+    | None, Some f -> Cli.load_target "walireplay" (`File f)
     | _ ->
         prerr_endline "walireplay record: need exactly one of FILE.wasm or --app NAME";
         exit 2
   in
-  let r = record_target t in
+  let r =
+    Replay.Recorder.record ~app:t.Apps.Suite.t_name ~kernel:(Apps.Suite.boot t)
+      ~binary:t.Apps.Suite.t_binary ~argv:t.Apps.Suite.t_argv ~env:[] ()
+  in
   let reduced = Replay.Reduce.reduce r.Replay.Recorder.r_trace in
   Replay.Trace.save out reduced;
   Printf.printf "%s: recorded %d events (%d bytes%s) to %s, exit status %d\n"
-    t.t_name
+    t.Apps.Suite.t_name
     (Array.length reduced.Replay.Trace.tr_events)
     (Replay.Reduce.byte_size reduced)
     (let raw = Replay.Reduce.byte_size r.Replay.Recorder.r_trace in
@@ -114,8 +51,8 @@ let replay_cmd file app wasm no_digest trace_out metrics_out profile_out =
   let trace = load_trace file in
   let t =
     match (app, wasm) with
-    | Some name, None -> target_of_app (find_app name)
-    | None, Some f -> target_of_file f
+    | Some name, None -> Cli.load_target "walireplay" (`App name)
+    | None, Some f -> Cli.load_target "walireplay" (`File f)
     | None, None ->
         let recorded = trace.Replay.Trace.tr_header.Replay.Trace.h_app in
         if recorded = "" then begin
@@ -123,52 +60,30 @@ let replay_cmd file app wasm no_digest trace_out metrics_out profile_out =
             "walireplay replay: trace has no app name; pass --app or --wasm";
           exit 2
         end
-        else target_of_app (find_app recorded)
+        else Cli.load_target "walireplay" (`App recorded)
     | Some _, Some _ ->
         prerr_endline "walireplay replay: --app and --wasm are exclusive";
         exit 2
   in
   (* A replayed run regenerates observability artifacts from the log:
      same per-syscall outcomes, same virtual-clock timeline. *)
-  let observe =
-    if trace_out = None && metrics_out = None && profile_out = None then None
-    else
-      Some
-        (Observe.Sink.create
-           {
-             Observe.Sink.c_metrics = metrics_out <> None;
-             c_trace = trace_out <> None;
-             c_profile = profile_out <> None;
-           })
-  in
+  let observe = Cli.sink ~trace_out ~metrics_out ~profile_out () in
   let o =
-    Replay.Replayer.replay ~setup:t.t_setup ~check_digest:(not no_digest)
-      ?observe ~trace ~binary:t.t_binary ()
+    Replay.Replayer.replay ~kernel:(Apps.Suite.boot t)
+      ~check_digest:(not no_digest) ?observe ~trace
+      ~binary:t.Apps.Suite.t_binary ()
   in
-  (match observe with
-  | None -> ()
-  | Some ob ->
-      let write_file f s =
-        Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
-      in
-      (match trace_out with
-      | Some f -> write_file f (Observe.Sink.trace_json ob)
-      | None -> ());
-      (match metrics_out with
-      | Some "-" -> print_string (Observe.Sink.metrics_json ob)
-      | Some f -> write_file f (Observe.Sink.metrics_json ob)
-      | None -> ());
-      (match profile_out with
-      | Some f -> write_file f (Observe.Sink.profile_folded ob)
-      | None -> ()));
+  Option.iter (Cli.dump ~trace_out ~metrics_out ~profile_out) observe;
   (match o.Replay.Replayer.rp_divergence with
   | None ->
       Printf.printf "%s: replay converged: %d/%d records, exit status %d\n"
-        t.t_name o.Replay.Replayer.rp_consumed o.Replay.Replayer.rp_total
+        t.Apps.Suite.t_name o.Replay.Replayer.rp_consumed
+        o.Replay.Replayer.rp_total
         (o.Replay.Replayer.rp_status lsr 8);
       exit 0
   | Some d ->
-      Printf.eprintf "%s: %s\n" t.t_name (Replay.Replayer.pp_divergence d);
+      Printf.eprintf "%s: %s\n" t.Apps.Suite.t_name
+        (Replay.Replayer.pp_divergence d);
       exit 1)
 
 (* ---- report ---- *)
@@ -197,62 +112,6 @@ let reduce_cmd file out prefix =
     | None -> "");
   exit 0
 
-(* ---- gate: record + codec round-trip + replay every bundled app ---- *)
-
-(* The gate is also the fusion differential harness: every app records
-   twice, once with macro-op fusion and once without, and the two encoded
-   traces must be byte-identical. Fusion may only change how fast ops
-   dispatch, never which events cross the WALI boundary — any divergence
-   (syscall order, arguments, results, signal coordinates, exit status)
-   shows up as an encoding mismatch and fails the gate. *)
-let gate_cmd quiet =
-  let ok = ref true in
-  List.iter
-    (fun a ->
-      let t = target_of_app a in
-      let r = record_target ~fuse:true t in
-      let reduced = Replay.Reduce.reduce r.Replay.Recorder.r_trace in
-      let fused_bytes = Replay.Trace.encode reduced in
-      let r_nf = record_target ~fuse:false t in
-      let nf_bytes =
-        Replay.Trace.encode (Replay.Reduce.reduce r_nf.Replay.Recorder.r_trace)
-      in
-      if fused_bytes <> nf_bytes then begin
-        ok := false;
-        Printf.eprintf
-          "walireplay: %s: FUSION DIVERGENCE: fused and unfused runs \
-           recorded different traces (%d vs %d bytes)\n"
-          t.t_name
-          (String.length fused_bytes)
-          (String.length nf_bytes)
-      end;
-      (* exercise the codec on every trace: what replays is the
-         decode of the encode *)
-      let trace = Replay.Trace.decode fused_bytes in
-      let o =
-        Replay.Replayer.replay ~setup:t.t_setup ~trace ~binary:t.t_binary ()
-      in
-      match o.Replay.Replayer.rp_divergence with
-      | None ->
-          if not quiet then
-            Printf.printf
-              "%-10s %6d records %8d bytes  status %-3d replay ok  fused=unfused\n"
-              t.t_name
-              (Array.length trace.Replay.Trace.tr_events)
-              (Replay.Reduce.byte_size trace)
-              (r.Replay.Recorder.r_status lsr 8)
-      | Some d ->
-          ok := false;
-          Printf.eprintf "walireplay: %s: DIVERGENCE\n%s\n" t.t_name
-            (Replay.Replayer.pp_divergence d))
-    Apps.Suite.all;
-  if !ok && quiet then
-    Printf.printf
-      "walireplay: %d apps recorded fused and unfused with byte-identical \
-       traces and replayed with zero divergences\n"
-      (List.length Apps.Suite.all);
-  exit (if !ok then 0 else 1)
-
 (* ---- cmdliner wiring ---- *)
 
 let file_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE")
@@ -280,9 +139,6 @@ let prefix_t =
   Arg.(value & opt (some int) None
        & info [ "prefix" ] ~docv:"N"
            ~doc:"Keep only the first N events (divergence bisection).")
-
-let quiet_t =
-  Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-app lines.")
 
 let record_c =
   Cmd.v
@@ -323,16 +179,10 @@ let reduce_c =
     (Cmd.info "reduce" ~doc:"Shrink a trace (zero-run compression, --prefix)")
     Term.(const reduce_cmd $ file_pos $ out_t $ prefix_t)
 
-let gate_c =
-  Cmd.v
-    (Cmd.info "gate"
-       ~doc:"Record and replay every bundled app; fail on any divergence")
-    Term.(const gate_cmd $ quiet_t)
-
 let cmd =
   Cmd.group
     (Cmd.info "walireplay"
        ~doc:"Deterministic record/replay at the WALI boundary")
-    [ record_c; replay_c; report_c; reduce_c; gate_c ]
+    [ record_c; replay_c; report_c; reduce_c ]
 
 let () = exit (Cmd.eval cmd)

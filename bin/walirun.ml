@@ -12,61 +12,30 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
     metrics_out profile_out top args =
   let fuse = not no_fuse in
   (* with --app, every positional is an application argument *)
-  let file, args =
-    match app with
-    | Some _ -> (None, (match file with Some f -> f :: args | None -> args))
-    | None -> (file, args)
-  in
-  let binary =
-    match (file, app) with
-    | Some f, _ -> In_channel.with_open_bin f In_channel.input_all
-    | None, Some name -> (
-        match Apps.Suite.find name with
-        | Some a -> Apps.Suite.binary_of a
-        | None ->
-            Printf.eprintf "unknown app %s; available: %s\n" name
-              (String.concat ", "
-                 (List.map (fun a -> a.Apps.Suite.a_name) Apps.Suite.all));
-            exit 2)
+  let t, args =
+    match (app, file) with
+    | Some name, _ ->
+        ( Cli.load_target "walirun" (`App name),
+          match file with Some f -> f :: args | None -> args )
+    | None, Some f -> (Cli.load_target "walirun" (`File f), args)
     | None, None ->
         prerr_endline "need a .wasm file or --app NAME";
         exit 2
   in
+  let binary = t.Apps.Suite.t_binary in
   let tracer = Wali.Strace.create ~verbose:trace () in
-  (* One sink serves all three observability flags. It shares the
-     strace tracer's metrics registry, so per-syscall aggregation
-     happens exactly once (see Interface.traced_dispatch). *)
+  (* The sink shares the strace tracer's metrics registry, so per-syscall
+     aggregation happens exactly once (see Interface.traced_dispatch). *)
   let observe =
-    if trace_out = None && metrics_out = None && profile_out = None && not top
-    then None
-    else
-      Some
-        (Observe.Sink.create
-           ~metrics:(Wali.Strace.metrics tracer)
-           {
-             Observe.Sink.c_metrics = metrics_out <> None || top;
-             c_trace = trace_out <> None;
-             c_profile = profile_out <> None;
-           })
-  in
-  let write_file f s =
-    Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+    Cli.sink ~metrics:(Wali.Strace.metrics tracer) ~top ~trace_out ~metrics_out
+      ~profile_out ()
   in
   let dump_observe () =
-    match observe with
-    | None -> ()
-    | Some o ->
-        (match trace_out with
-        | Some f -> write_file f (Observe.Sink.trace_json o)
-        | None -> ());
-        (match metrics_out with
-        | Some "-" -> print_string (Observe.Sink.metrics_json o)
-        | Some f -> write_file f (Observe.Sink.metrics_json o)
-        | None -> ());
-        (match profile_out with
-        | Some f -> write_file f (Observe.Sink.profile_folded o)
-        | None -> ());
-        if top then prerr_string (Observe.Sink.report o)
+    Option.iter
+      (fun o ->
+        Cli.dump ~trace_out ~metrics_out ~profile_out o;
+        if top then prerr_string (Observe.Sink.report o))
+      observe
   in
   let policy =
     if not derive then Wali.Seccomp.allow_all ()
@@ -93,37 +62,10 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
     | "every" -> Wasm.Code.Poll_every
     | _ -> Wasm.Code.Poll_loops
   in
-  let argv0 =
-    match (file, app) with
-    | Some f, _ -> Filename.basename f
-    | _, Some a -> a
-    | _ -> "wasm"
-  in
-  (* app setup, shared by the live, record, and replay paths: VFS/process
-     state plus the app's scripted stdin (EOF via the dropped writer),
-     the same way the test suite drives these programs *)
-  let setup kernel =
-    match app with
-    | Some name -> (
-        match Apps.Suite.find name with
-        | Some a ->
-            a.Apps.Suite.a_setup kernel;
-            if a.Apps.Suite.a_stdin <> "" then begin
-              Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-              Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-            end
-        | None -> ())
-    | None -> ()
-  in
-  (* with --app and no explicit arguments, use the app's scripted argv
-     (the same one the test suite and walireplay drive it with) *)
+  (* with no explicit arguments, use the target's own argv (for an app,
+     the scripted one the test suite and the gate drive it with) *)
   let argv =
-    match (args, app) with
-    | [], Some name -> (
-        match Apps.Suite.find name with
-        | Some a -> a.Apps.Suite.a_argv
-        | None -> [ argv0 ])
-    | _ -> argv0 :: args
+    if args = [] then t.Apps.Suite.t_argv else t.Apps.Suite.t_name :: args
   in
   let env = [ "HOME=/home/user"; "TERM=vt100" ] in
   let print_profile () =
@@ -140,19 +82,10 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
       exit 2
   | None, Some trace_file ->
       (* swap the simulated kernel out for the log *)
-      let tr =
-        match Replay.Trace.load trace_file with
-        | tr -> tr
-        | exception Replay.Trace.Corrupt msg ->
-            Printf.eprintf "walirun: %s: corrupt trace: %s\n" trace_file msg;
-            exit 1
-        | exception Replay.Trace.Bad_version v ->
-            Printf.eprintf "walirun: %s: unsupported trace version %d\n"
-              trace_file v;
-            exit 1
-      in
+      let tr = Cli.load_trace "walirun" trace_file in
       let o =
-        Replay.Replayer.replay ~setup ~fuse ~trace:tr ~binary ?observe ()
+        Replay.Replayer.replay ~kernel:(Apps.Suite.boot t) ~fuse ~trace:tr
+          ~binary ?observe ()
       in
       dump_observe ();
       (match o.Replay.Replayer.rp_divergence with
@@ -165,13 +98,11 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
           prerr_endline (Replay.Replayer.pp_divergence d);
           exit 1)
   | Some trace_file, None ->
-      let kernel = Kernel.Task.boot () in
-      setup kernel;
       let r =
         Replay.Recorder.record
           ~app:(Option.value app ~default:"")
-          ~poll_scheme ~fuse ~strace:tracer ~policy ~kernel ~binary ~argv ~env
-          ?observe ()
+          ~poll_scheme ~fuse ~strace:tracer ~policy
+          ~kernel:(Apps.Suite.boot t) ~binary ~argv ~env ?observe ()
       in
       let reduced = Replay.Reduce.reduce r.Replay.Recorder.r_trace in
       Replay.Trace.save trace_file reduced;
@@ -184,11 +115,9 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
       print_profile ();
       exit (r.Replay.Recorder.r_status lsr 8)
   | None, None ->
-      let kernel = Kernel.Task.boot () in
-      setup kernel;
       let status, out, result =
-        Wali.Interface.run_program ~kernel ~trace:tracer ~policy ~poll_scheme
-          ~fuse ?observe ~binary ~argv ~env ()
+        Wali.Interface.run_program ~kernel:(Apps.Suite.boot t) ~trace:tracer
+          ~policy ~poll_scheme ~fuse ?observe ~binary ~argv ~env ()
       in
       print_string out;
       (match result with

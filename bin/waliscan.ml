@@ -8,48 +8,18 @@
 
      dune exec bin/waliscan.exe -- program.wasm
      dune exec bin/waliscan.exe -- --app minish --verify
-     dune exec bin/waliscan.exe -- --all --verify --quiet   # the CI gate
      dune exec bin/waliscan.exe -- --policy program.wasm    # allowlist only *)
 
 open Cmdliner
 
-type target = {
-  t_name : string;
-  t_binary : string;
-  t_setup : Kernel.Task.kernel -> unit;
-  t_stdin : string;
-  t_argv : string list;
-}
-
-let target_of_app (a : Apps.Suite.app) =
-  {
-    t_name = a.Apps.Suite.a_name;
-    t_binary = Apps.Suite.binary_of a;
-    t_setup = a.Apps.Suite.a_setup;
-    t_stdin = a.Apps.Suite.a_stdin;
-    t_argv = a.Apps.Suite.a_argv;
-  }
-
-let target_of_file f =
-  let binary =
-    try In_channel.with_open_bin f In_channel.input_all
-    with Sys_error e ->
-      Printf.eprintf "waliscan: %s\n" e;
-      exit 1
-  in
-  {
-    t_name = Filename.basename f;
-    t_binary = binary;
-    t_setup = (fun _ -> ());
-    t_stdin = "";
-    t_argv = [ Filename.basename f ];
-  }
-
 (* Analyze one target; returns false on analyzer error or failed verify. *)
-let scan ~quiet ~policy_only ~verify (t : target) : bool =
-  match Analysis.Reach.analyze_binary ~name:t.t_name t.t_binary with
+let scan ~quiet ~policy_only ~verify (t : Apps.Suite.target) : bool =
+  match
+    Analysis.Reach.analyze_binary ~name:t.Apps.Suite.t_name
+      t.Apps.Suite.t_binary
+  with
   | exception e ->
-      Printf.eprintf "waliscan: %s: analysis failed: %s\n" t.t_name
+      Printf.eprintf "waliscan: %s: analysis failed: %s\n" t.Apps.Suite.t_name
         (Printexc.to_string e);
       false
   | summary ->
@@ -59,8 +29,8 @@ let scan ~quiet ~policy_only ~verify (t : target) : bool =
       if not verify then true
       else begin
         let r =
-          Analysis.Crosscheck.run ~setup:t.t_setup ~stdin:t.t_stdin
-            ~argv:t.t_argv ~summary ~binary:t.t_binary ()
+          Analysis.Crosscheck.run ~kernel:(Apps.Suite.boot t)
+            ~argv:t.Apps.Suite.t_argv ~summary ~binary:t.Apps.Suite.t_binary ()
         in
         if Analysis.Crosscheck.ok r then begin
           (* keep --policy output pipeable: verdict details stay off stdout *)
@@ -75,35 +45,21 @@ let scan ~quiet ~policy_only ~verify (t : target) : bool =
           Printf.eprintf
             "waliscan: %s: SOUNDNESS BUG: static set is not a superset of \
              the dynamic profile\n"
-            t.t_name;
-          List.iter
-            (Printf.eprintf "  escaped syscall (traced, not in static set): %s\n")
-            r.Analysis.Crosscheck.cc_escaped;
-          List.iter
-            (fun (n, c) ->
-              Printf.eprintf "  denied under derived policy: %s (%d)\n" n c)
-            r.Analysis.Crosscheck.cc_denied;
+            t.Apps.Suite.t_name;
+          List.iter (Printf.eprintf "  %s\n")
+            (Analysis.Crosscheck.violations r);
           false
         end
       end
 
-let scan_cmd files app all_apps policy_only verify quiet =
+let scan_cmd files app policy_only verify quiet =
   let targets =
-    List.map target_of_file files
-    @ (match app with
-      | None -> []
-      | Some name -> (
-          match Apps.Suite.find name with
-          | Some a -> [ target_of_app a ]
-          | None ->
-              Printf.eprintf "unknown app %s; available: %s\n" name
-                (String.concat ", "
-                   (List.map (fun a -> a.Apps.Suite.a_name) Apps.Suite.all));
-              exit 2))
-    @ (if all_apps then List.map target_of_app Apps.Suite.all else [])
+    List.map (fun f -> Cli.load_target "waliscan" (`File f)) files
+    @ Option.to_list
+        (Option.map (fun name -> Cli.load_target "waliscan" (`App name)) app)
   in
   if targets = [] then begin
-    prerr_endline "waliscan: need FILE.wasm, --app NAME or --all";
+    prerr_endline "waliscan: need FILE.wasm or --app NAME";
     exit 2
   end;
   let ok =
@@ -122,10 +78,6 @@ let files_t = Arg.(value & pos_all string [] & info [] ~docv:"FILE.wasm")
 let app_t =
   Arg.(value & opt (some string) None
        & info [ "app" ] ~doc:"Analyze a bundled suite application.")
-
-let all_t =
-  Arg.(value & flag
-       & info [ "all" ] ~doc:"Analyze every bundled suite application.")
 
 let policy_t =
   Arg.(value & flag
@@ -146,6 +98,6 @@ let cmd =
   Cmd.v
     (Cmd.info "waliscan"
        ~doc:"Derive minimal seccomp policies from Wasm modules, statically")
-    Term.(const scan_cmd $ files_t $ app_t $ all_t $ policy_t $ verify_t $ quiet_t)
+    Term.(const scan_cmd $ files_t $ app_t $ policy_t $ verify_t $ quiet_t)
 
 let () = exit (Cmd.eval cmd)

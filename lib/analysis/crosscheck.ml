@@ -23,40 +23,46 @@ type result = {
 
 let ok (r : result) = r.cc_escaped = [] && r.cc_denied = []
 
-(** Run [binary] under the policy derived from [summary].
-    [setup]/[stdin] mirror the app-suite harness: VFS fixtures and
-    console input the workload expects. *)
-let run ?(setup = fun (_ : Kernel.Task.kernel) -> ()) ?(stdin = "")
-    ?(argv = [ "module" ]) ?(env = []) ~(summary : Reach.summary)
-    ~(binary : string) () : result =
+(** One line per soundness violation: each escaped syscall, each denial. *)
+let violations (r : result) : string list =
+  List.map
+    (Printf.sprintf "escaped syscall (traced, not in static set): %s")
+    r.cc_escaped
+  @ List.map
+      (fun (n, c) -> Printf.sprintf "denied under derived policy: %s (%d)" n c)
+      r.cc_denied
+
+(** Judge a finished run: [trace] saw every syscall it dispatched and
+    [policy] is the derived policy it ran under. *)
+let check ~(summary : Reach.summary) ~(policy : Wali.Seccomp.t)
+    ~(trace : Wali.Strace.t) ~status ~output : result =
   let static = Reach.allowlist summary in
-  let policy = Reach.policy summary in
-  let trace = Wali.Strace.create () in
-  let kernel = Kernel.Task.boot () in
-  setup kernel;
-  if stdin <> "" then begin
-    Kernel.Task.console_feed kernel stdin;
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
-  let status, out, _ =
-    Wali.Interface.run_program ~kernel ~trace ~policy ~binary ~argv ~env ()
-  in
   let dynamic =
     List.map fst (Wali.Strace.profile trace) |> List.sort_uniq compare
   in
-  let escaped = List.filter (fun s -> not (List.mem s static)) dynamic in
-  let unused = List.filter (fun s -> not (List.mem s dynamic)) static in
   {
     cc_status = status;
-    cc_output = out;
+    cc_output = output;
     cc_static = static;
     cc_dynamic = dynamic;
-    cc_escaped = escaped;
+    cc_escaped = List.filter (fun s -> not (List.mem s static)) dynamic;
     cc_denied = Wali.Seccomp.denied_counts policy;
-    cc_unused_allow = unused;
+    cc_unused_allow = List.filter (fun s -> not (List.mem s dynamic)) static;
   }
 
+(** Run [binary] under the policy derived from [summary] on [kernel]
+    (default: a fresh boot; see [Apps.Suite.boot] for an app's fixtures
+    and console input). *)
+let run ?kernel ?(argv = [ "module" ]) ?(env = []) ~(summary : Reach.summary)
+    ~(binary : string) () : result =
+  let policy = Reach.policy summary in
+  let trace = Wali.Strace.create () in
+  let status, output, _ =
+    Wali.Interface.run_program ?kernel ~trace ~policy ~binary ~argv ~env ()
+  in
+  check ~summary ~policy ~trace ~status ~output
+
 (** One-call form: derive the policy from [binary] itself, then verify. *)
-let run_binary ?setup ?stdin ?argv ?env ?name (binary : string) : result =
+let run_binary ?kernel ?argv ?env ?name (binary : string) : result =
   let summary = Reach.analyze_binary ?name binary in
-  run ?setup ?stdin ?argv ?env ~summary ~binary ()
+  run ?kernel ?argv ?env ~summary ~binary ()

@@ -169,23 +169,72 @@ let binary_of (a : app) : string =
       Hashtbl.replace binary_cache a.a_name b;
       b
 
+(** What the CLIs, the gate and the tests run: a binary plus the argv,
+    VFS fixtures and scripted stdin it runs with. A bundled app is one; a
+    plain .wasm file is one with no fixtures and no stdin. *)
+type target = {
+  t_name : string;
+  t_binary : string;
+  t_argv : string list;
+  t_setup : Kernel.Task.kernel -> unit;
+  t_stdin : string;
+}
+
+let target (a : app) : target =
+  {
+    t_name = a.a_name;
+    t_binary = binary_of a;
+    t_argv = a.a_argv;
+    t_setup = a.a_setup;
+    t_stdin = a.a_stdin;
+  }
+
+(** Load a bundled app by name or a .wasm file by path. An unknown app or
+    an unreadable file is an [Error] with a printable message. *)
+let load = function
+  | `App name -> (
+      match find name with
+      | Some a -> Ok (target a)
+      | None ->
+          Error
+            (Printf.sprintf "unknown app %s; available: %s" name
+               (String.concat ", " (List.map (fun a -> a.a_name) all))))
+  | `File f -> (
+      match In_channel.with_open_bin f In_channel.input_all with
+      | binary ->
+          let name = Filename.basename f in
+          Ok
+            {
+              t_name = name;
+              t_binary = binary;
+              t_argv = [ name ];
+              t_setup = no_setup;
+              t_stdin = "";
+            }
+      | exception Sys_error e -> Error e)
+
+(** A fresh kernel prepared for [t]: boot, the target's VFS fixtures, then
+    its scripted stdin followed by EOF (the console writer is dropped).
+    Every live, recorded and replayed run of a target starts here. *)
+let boot (t : target) : Kernel.Task.kernel =
+  let kernel = Kernel.Task.boot () in
+  t.t_setup kernel;
+  if t.t_stdin <> "" then begin
+    Kernel.Task.console_feed kernel t.t_stdin;
+    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
+  end;
+  kernel
+
 (** Run an app on the WALI engine; returns (status, output). [policy]
     lets callers run the suite under e.g. a statically derived seccomp
     allowlist (see lib/analysis). *)
 let run ?(argv : string list option) ?(env = []) ?trace ?policy ?poll_scheme
     ?fuse ?observe (a : app) : int * string =
-  let binary = binary_of a in
-  let kernel = Kernel.Task.boot () in
-  a.a_setup kernel;
-  if a.a_stdin <> "" then begin
-    Kernel.Task.console_feed kernel a.a_stdin;
-    (* close stdin after the script: feed EOF by dropping the writer *)
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
+  let t = target a in
   let status, out, _ =
-    Wali.Interface.run_program ~kernel ?trace ?policy ?poll_scheme ?fuse
-      ?observe ~binary
-      ~argv:(Option.value argv ~default:a.a_argv)
+    Wali.Interface.run_program ~kernel:(boot t) ?trace ?policy ?poll_scheme
+      ?fuse ?observe ~binary:t.t_binary
+      ~argv:(Option.value argv ~default:t.t_argv)
       ~env ()
   in
   (status, out)

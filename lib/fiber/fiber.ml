@@ -123,7 +123,13 @@ let exec_fiber s (f : t) (main : unit -> unit) =
     ()
     {
       retc = (fun () -> finish ());
-      exnc = (fun e -> finish (); raise e);
+      exnc =
+        (fun e ->
+          (* keep the guest-side backtrace: a bare [raise e] would restart
+             it here, in the scheduler *)
+          let bt = Printexc.get_raw_backtrace () in
+          finish ();
+          Printexc.raise_with_backtrace e bt);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with

@@ -1,10 +1,11 @@
-(** The deterministic scenario runner behind `waliperf`.
+(** The deterministic scenario runner and the gate behind `waliperf`.
 
-    Each bundled app runs once with the metrics and profiling pillars on
-    (no tracing — the trace buffer is the one pillar whose cost scales
-    with the run and the gate never reads it), and reports only
-    deterministic counters: instructions retired, syscall crossings,
-    virtual-clock nanoseconds, scheduler and kernel event counts. Two
+    Each bundled app runs once, recorded: under the seccomp allowlist
+    derived from its own binary ({!Analysis.Reach}), with the replay
+    recorder, a tracer and every observability pillar attached. That one
+    run feeds every counter and every gate check. The counters are
+    deterministic — instructions retired, syscall crossings,
+    virtual-clock nanoseconds, scheduler and kernel event counts — so two
     runs of the same build produce byte-identical results, which is what
     lets the baseline gate use zero tolerance.
 
@@ -12,22 +13,42 @@
     ({!Observe.Hist.merge}) into whole-suite percentiles of time below
     the WALI boundary — still virtual-clock, still deterministic. *)
 
-let gate_cfg =
-  { Observe.Sink.c_metrics = true; c_trace = false; c_profile = true }
-
 type app_result = {
-  ar_name : string;
-  ar_status : int; (* raw wait status *)
+  ar_target : Apps.Suite.target;
   ar_metrics : (string * Model.metric) list;
-  ar_folded : string; (* the folded-stack profile of the run *)
   ar_reg : Observe.Metrics.t; (* the run's syscall registry *)
+  ar_folded : string; (* the folded-stack profile of the run *)
+  ar_profile_total : int64; (* the sink's profiled time *)
+  ar_trace_json : string; (* the Chrome trace-event timeline *)
+  ar_metrics_json : string;
+  ar_soundness : Analysis.Crosscheck.result; (* static vs dynamic set *)
+  ar_trace : Replay.Trace.t; (* the reduced recording *)
 }
 
 let scenario_name app = "app/" ^ app
 
+let record ?strace ?observe ~fuse ~policy (t : Apps.Suite.target) =
+  Replay.Recorder.record ~app:t.Apps.Suite.t_name ~fuse ?strace ~policy
+    ?observe ~kernel:(Apps.Suite.boot t) ~binary:t.Apps.Suite.t_binary
+    ~argv:t.Apps.Suite.t_argv ~env:[] ()
+
+(** The one recorded run of [a]: under its derived allowlist, with the
+    recorder, a tracer and an all-pillars sink attached. *)
 let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
-  let sink = Observe.Sink.create gate_cfg in
-  let status, _out = Apps.Suite.run ~fuse ~observe:sink a in
+  let t = Apps.Suite.target a in
+  let summary =
+    Analysis.Reach.analyze_binary ~name:t.Apps.Suite.t_name
+      t.Apps.Suite.t_binary
+  in
+  let policy = Analysis.Reach.policy summary in
+  let strace = Wali.Strace.create () in
+  (* the sink shares the tracer's registry: each crossing counts once *)
+  let sink =
+    Observe.Sink.create ~metrics:(Wali.Strace.metrics strace)
+      Observe.Sink.all_on
+  in
+  let r = record ~strace ~observe:sink ~fuse ~policy t in
+  let status = r.Replay.Recorder.r_status in
   let rc = Observe.Sink.run_counters sink in
   let reg = Observe.Sink.metrics sink in
   let ks = Observe.Sink.kstats_or_zero sink in
@@ -58,8 +79,7 @@ let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
       [ ("host_wall_ns", Model.wall s) ]
   in
   {
-    ar_name = a.Apps.Suite.a_name;
-    ar_status = status;
+    ar_target = t;
     ar_metrics =
       [
         ("instructions", ci rc.Observe.Sink.rc_instructions);
@@ -81,8 +101,15 @@ let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
         ("exit_status", c (status lsr 8));
       ]
       @ wall_metrics;
-    ar_folded = Observe.Sink.profile_folded sink;
     ar_reg = reg;
+    ar_folded = Observe.Sink.profile_folded sink;
+    ar_profile_total = Observe.Sink.profile_total sink;
+    ar_trace_json = Observe.Sink.trace_json sink;
+    ar_metrics_json = Observe.Sink.metrics_json sink;
+    ar_soundness =
+      Analysis.Crosscheck.check ~summary ~policy ~trace:strace ~status
+        ~output:r.Replay.Recorder.r_output;
+    ar_trace = Replay.Reduce.reduce r.Replay.Recorder.r_trace;
   }
 
 (** Suite-level aggregate: merge the per-syscall latency histograms of
@@ -126,15 +153,153 @@ let suite_scenario (results : app_result list) :
         Model.counter_i ~unit_:"ns" (Observe.Hist.max_value merged) );
     ] )
 
-(** Run the suite's deterministic scenarios: the [wali-bench v1] run plus
-    the per-app folded profiles (for the differential profiler). *)
-let run_suite ?(apps = Apps.Suite.all) ?fuse ?walls () :
+let name r = r.ar_target.Apps.Suite.t_name
+
+(** The [wali-bench v1] model of a set of runs, plus their per-app folded
+    profiles (for the differential profiler). *)
+let suite_model (results : app_result list) :
     Model.t * (string * string) list =
-  let results = List.map (run_app ?fuse ?walls) apps in
   let scenarios =
     suite_scenario results
-    :: List.map (fun r -> (scenario_name r.ar_name, r.ar_metrics)) results
+    :: List.map (fun r -> (scenario_name (name r), r.ar_metrics)) results
   in
-  let model = Model.make ~suite:"wali-deterministic" scenarios in
-  let profiles = List.map (fun r -> (r.ar_name, r.ar_folded)) results in
-  (model, profiles)
+  ( Model.make ~suite:"wali-deterministic" scenarios,
+    List.map (fun r -> (name r, r.ar_folded)) results )
+
+let run_suite ?(apps = Apps.Suite.all) ?fuse ?walls () =
+  suite_model (List.map (run_app ?fuse ?walls) apps)
+
+(* ------------------------------------------------------------------ *)
+(* The gate: every check reads the one recorded run per app            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every failure names the app (or "suite") and the check that failed. *)
+let fail app check fmt =
+  Printf.ksprintf (fun msg -> Printf.sprintf "%s: %s: %s" app check msg) fmt
+
+(** Static ⊇ dynamic: no traced syscall escapes the derived allowlist and
+    the policy denied nothing. Either is an analyzer soundness bug. *)
+let check_soundness (r : app_result) : string list =
+  List.map
+    (fail (name r) "soundness" "%s")
+    (Analysis.Crosscheck.violations r.ar_soundness)
+
+(** The three observability artifacts: a well-nested, non-empty trace
+    (with at least two process lanes for the forking minish), a metrics
+    dump that carries its schema, and a non-empty folded profile whose
+    weight equals the profiled time exactly. *)
+let check_artifacts (r : app_result) : string list =
+  let fail fmt = fail (name r) "artifacts" fmt in
+  let trace =
+    match Observe.Check.check_trace r.ar_trace_json with
+    | Error e -> [ fail "trace: %s" e ]
+    | Ok { Observe.Check.ts_events = 0; _ } -> [ fail "trace is empty" ]
+    | Ok ts ->
+        let pids = ts.Observe.Check.ts_pids in
+        let lanes =
+          List.length (List.filter (( <> ) Observe.Sink.sched_pid) pids)
+        in
+        if name r = "minish" && lanes < 2 then
+          [ fail "expected >= 2 process lanes, got %d" lanes ]
+        else []
+  in
+  let metrics =
+    match Observe.Check.check_metrics r.ar_metrics_json with
+    | Error e -> [ fail "metrics: %s" e ]
+    | Ok () -> []
+  in
+  let profile =
+    match Observe.Check.check_folded r.ar_folded with
+    | Error e -> [ fail "profile: %s" e ]
+    | Ok total ->
+        if Int64.compare total 0L <= 0 then [ fail "profile is empty" ]
+        else if not (Int64.equal total r.ar_profile_total) then
+          [ fail "profile total %Ld <> profiled time %Ld" total
+              r.ar_profile_total ]
+        else []
+  in
+  trace @ metrics @ profile
+
+(** The fusion differential: fusion may change how fast ops dispatch,
+    never which events cross the WALI boundary, so the app re-recorded
+    unfused under the same policy must encode byte-identically. *)
+let check_fusion (r : app_result) : string list =
+  let policy =
+    Wali.Seccomp.allowlist r.ar_soundness.Analysis.Crosscheck.cc_static
+  in
+  let unfused = record ~fuse:false ~policy r.ar_target in
+  let fused = Replay.Trace.encode r.ar_trace
+  and plain =
+    Replay.Trace.encode (Replay.Reduce.reduce unfused.Replay.Recorder.r_trace)
+  in
+  if String.equal fused plain then []
+  else
+    [ fail (name r) "fusion"
+        "fused and unfused runs recorded different traces (%d vs %d bytes)"
+        (String.length fused) (String.length plain) ]
+
+(** What replays is the decode of the encode, so every app exercises the
+    codec and the replayer; the replay must converge. *)
+let check_replay (r : app_result) : string list =
+  let t = r.ar_target in
+  let trace = Replay.Trace.decode (Replay.Trace.encode r.ar_trace) in
+  let o =
+    Replay.Replayer.replay ~kernel:(Apps.Suite.boot t) ~trace
+      ~binary:t.Apps.Suite.t_binary ()
+  in
+  match o.Replay.Replayer.rp_divergence with
+  | None -> []
+  | Some d -> [ fail (name r) "replay" "%s" (Replay.Replayer.pp_divergence d) ]
+
+type verdict = {
+  v_rows : Baseline.row list; (* every counter against the baseline *)
+  v_failures : string list; (* empty: the gate passes *)
+  v_diffs : string; (* flamegraph diff of each drifted app *)
+}
+
+(** Run every check over [results]; counters are compared against [base]
+    at zero tolerance, and each drifted app's profile is diffed against
+    [base_folded app]. *)
+let gate ~(base : Model.t) ~(base_folded : string -> string option)
+    (results : app_result list) : verdict =
+  let model, profiles = suite_model results in
+  let rows = Baseline.compare_runs ~base ~cur:model () in
+  let drift = Baseline.counter_drift rows in
+  let app_of (row : Baseline.row) =
+    let sc = row.Baseline.r_scenario in
+    if String.starts_with ~prefix:"app/" sc then
+      String.sub sc 4 (String.length sc - 4)
+    else sc
+  in
+  let drifted =
+    List.sort_uniq compare (List.map app_of drift)
+    |> List.filter (fun app -> List.mem_assoc app profiles)
+  in
+  let diff app =
+    "--- " ^ app ^ " ---\n"
+    ^
+    match base_folded app with
+    | None -> "no baseline profile\n"
+    | Some base -> (
+        match Diffprof.diff ~base ~cur:(List.assoc app profiles) with
+        | Ok d -> Diffprof.render d
+        | Error e -> "diff failed: " ^ e ^ "\n")
+  in
+  {
+    v_rows = rows;
+    v_failures =
+      List.concat_map
+        (fun r ->
+          check_soundness r @ check_artifacts r @ check_fusion r
+          @ check_replay r)
+        results
+      @ List.map
+          (fun (row : Baseline.row) ->
+            fail (app_of row) "counters" "%s drifted: %s -> %s (%s)"
+              row.Baseline.r_metric
+              (Model.pp_num row.Baseline.r_base)
+              (Model.pp_num row.Baseline.r_cur)
+              (Baseline.verdict_name row.Baseline.r_verdict))
+          drift;
+    v_diffs = String.concat "" (List.map diff drifted);
+  }

@@ -356,13 +356,13 @@ let interposer (st : state) : Engine.interposer =
     ip_virtual_signals = true;
   }
 
-(** Replay [trace] against [binary]. [setup] re-creates the boot-time
-    VFS environment (needed only when the recorded run execve'd binaries
-    out of the VFS). The digest check refuses a binary other than the
-    recorded one unless [check_digest:false]. *)
-let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
-    ?(check_digest = true) ?(fuse = true) ?observe ~(trace : Trace.t)
-    ~(binary : string) () : outcome =
+(** Replay [trace] against [binary]. [kernel] (default: a fresh boot)
+    carries the boot-time VFS environment, needed only when the recorded
+    run execve'd binaries out of the VFS. The digest check refuses a
+    binary other than the recorded one unless [check_digest:false]. *)
+let replay ?(kernel : Kernel.Task.kernel option) ?(check_digest = true)
+    ?(fuse = true) ?observe ~(trace : Trace.t) ~(binary : string) () : outcome
+    =
   let total = Array.length trace.Trace.tr_events in
   let digest = Digest.string binary in
   if check_digest && digest <> trace.Trace.tr_header.Trace.h_digest then
@@ -383,8 +383,7 @@ let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
     }
   else begin
     let st = make trace in
-    let kernel = Kernel.Task.boot () in
-    setup kernel;
+    let kernel = match kernel with Some k -> k | None -> Kernel.Task.boot () in
     (* When a sink is observing the replay, aggregate syscalls straight
        into its registry: the regenerated metrics/trace/profile then come
        from the recorded outcomes, not a live kernel. *)

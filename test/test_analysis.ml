@@ -221,14 +221,11 @@ let test_crosscheck_builder_module () =
 let test_suite_under_derived_policies () =
   List.iter
     (fun (a : Apps.Suite.app) ->
-      let binary = Apps.Suite.binary_of a in
-      let summary =
-        Analysis.Reach.analyze_binary ~name:a.Apps.Suite.a_name binary
-      in
+      let t = Apps.Suite.target a in
       let r =
-        Analysis.Crosscheck.run ~setup:a.Apps.Suite.a_setup
-          ~stdin:a.Apps.Suite.a_stdin ~argv:a.Apps.Suite.a_argv ~summary
-          ~binary ()
+        Analysis.Crosscheck.run_binary ~kernel:(Apps.Suite.boot t)
+          ~argv:t.Apps.Suite.t_argv ~name:t.Apps.Suite.t_name
+          t.Apps.Suite.t_binary
       in
       Alcotest.(check strs)
         (a.Apps.Suite.a_name ^ ": dynamic escapes static set")

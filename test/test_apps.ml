@@ -102,6 +102,25 @@ let test_strace_profile_of_suite () =
       Alcotest.(check bool) "several unique syscalls" true
         (List.length profile >= 8)
 
+(* The shared target loader answers a bad path or app name with an
+   error, never an exception. *)
+let test_target_loader () =
+  let error = function
+    | Ok _ -> Alcotest.fail "expected a load error"
+    | Error e -> e
+  in
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "no-such.wasm"
+  in
+  let e = error (Apps.Suite.load (`File missing)) in
+  Alcotest.(check bool) "missing file: message names the path" true
+    (contains e missing);
+  let e = error (Apps.Suite.load (`App "no-such-app")) in
+  Alcotest.(check bool) "unknown app: message names it" true
+    (contains e "unknown app no-such-app");
+  Alcotest.(check bool) "unknown app: message lists the suite" true
+    (contains e "minish, calc")
+
 let tests =
   [
     Alcotest.test_case "minish (bash)" `Quick (test_app "minish");
@@ -120,4 +139,5 @@ let tests =
     Alcotest.test_case "porting matrix (Table 1 shape)" `Quick test_porting_table;
     Alcotest.test_case "import section is the manifest" `Quick test_import_section_is_manifest;
     Alcotest.test_case "strace profile (Fig 2 source)" `Quick test_strace_profile_of_suite;
+    Alcotest.test_case "target loader errors" `Quick test_target_loader;
   ]

@@ -103,6 +103,30 @@ let test_many_fibers () =
       done);
   Alcotest.(check int) "all fibers ran" (n * (n + 1) / 2) !sum
 
+(* A named raise site the backtrace can point at. *)
+let[@inline never] guest_fault () = raise (Failure "guest fault")
+
+(* An exception escaping a fiber body reaches the caller of Fiber.run
+   with the backtrace of its raise site, not of the scheduler. *)
+let test_backtrace_through_fiber () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace recording)
+    (fun () ->
+      match
+        Fiber.run (fun () ->
+            ignore
+              (Fiber.spawn "guest" (fun () ->
+                   Fiber.yield ();
+                   guest_fault ())))
+      with
+      | () -> Alcotest.fail "the fiber's exception was swallowed"
+      | exception Failure _ ->
+          let bt = Printexc.get_backtrace () in
+          if not (Astring_contains.contains bt "Test_fiber.guest_fault") then
+            Alcotest.failf "backtrace does not name the raise site:\n%s" bt)
+
 let tests =
   [
     Alcotest.test_case "spawn order round-robin" `Quick test_spawn_order;
@@ -113,4 +137,6 @@ let tests =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "timeout pattern" `Quick test_timeout_pattern;
     Alcotest.test_case "1000 fibers" `Quick test_many_fibers;
+    Alcotest.test_case "backtrace survives the fiber" `Quick
+      test_backtrace_through_fiber;
   ]

@@ -332,23 +332,16 @@ let test_clone_under_fusion () =
   | _ -> Alcotest.fail "clone memory wrong under fusion"
 
 (* End-to-end: recording the calc app fused and unfused produces
-   byte-identical syscall traces (the walireplay gate enforces this for
+   byte-identical syscall traces (the waliperf gate enforces this for
    the whole suite; this is the in-tree witness). *)
 let test_calc_trace_identical () =
   let record fuse =
-    match Apps.Suite.find "calc" with
-    | None -> Alcotest.fail "no calc app"
-    | Some a ->
-        let kernel = Kernel.Task.boot () in
-        a.Apps.Suite.a_setup kernel;
-        if a.Apps.Suite.a_stdin <> "" then begin
-          Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-          Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-        end;
+    match Apps.Suite.load (`App "calc") with
+    | Error e -> Alcotest.fail e
+    | Ok t ->
         let r =
-          Replay.Recorder.record ~app:"calc" ~fuse ~kernel
-            ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[]
-            ()
+          Replay.Recorder.record ~app:"calc" ~fuse ~kernel:(Apps.Suite.boot t)
+            ~binary:t.Apps.Suite.t_binary ~argv:t.Apps.Suite.t_argv ~env:[] ()
         in
         Replay.Trace.encode (Replay.Reduce.reduce r.Replay.Recorder.r_trace)
   in

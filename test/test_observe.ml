@@ -224,23 +224,17 @@ let test_profile_deterministic () =
 (* ---- record/replay regenerates the histogram ---- *)
 
 let test_replay_regenerates_metrics () =
-  let a = find_app "minish" in
-  let kernel = Kernel.Task.boot () in
-  a.Apps.Suite.a_setup kernel;
-  if a.Apps.Suite.a_stdin <> "" then begin
-    Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
+  let t = Apps.Suite.target (find_app "minish") in
   let recorded = Observe.Sink.create Observe.Sink.metrics_only in
   let r =
-    Replay.Recorder.record ~app:"minish" ~kernel ~observe:recorded
-      ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] ()
+    Replay.Recorder.record ~app:"minish" ~kernel:(Apps.Suite.boot t)
+      ~observe:recorded ~binary:t.Apps.Suite.t_binary ~argv:t.Apps.Suite.t_argv
+      ~env:[] ()
   in
   let replayed = Observe.Sink.create Observe.Sink.metrics_only in
   let o =
-    Replay.Replayer.replay ~setup:a.Apps.Suite.a_setup ~observe:replayed
-      ~trace:r.Replay.Recorder.r_trace
-      ~binary:(Apps.Suite.binary_of a) ()
+    Replay.Replayer.replay ~kernel:(Apps.Suite.boot t) ~observe:replayed
+      ~trace:r.Replay.Recorder.r_trace ~binary:t.Apps.Suite.t_binary ()
   in
   Alcotest.(check bool) "replay converged" true (Replay.Replayer.converged o);
   Alcotest.(check (list (pair string int)))

@@ -1,8 +1,9 @@
 (* The performance observatory (lib/perf): sample statistics, the
    wali-bench v1 model round-trip through the schema checker, baseline
    verdict classification (zero-tolerance counters, noise-banded wall
-   metrics), the differential profiler on hand-built folded stacks, and
-   determinism of the gate's scenario runner. *)
+   metrics), the differential profiler on hand-built folded stacks,
+   determinism of the gate's scenario runner, and the gate failing on one
+   injected fault per check family. *)
 
 let check_err msg = function
   | Error _ -> ()
@@ -232,6 +233,96 @@ let test_scenario_deterministic () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "gate emission fails the checker: %s" e
 
+(* ---- the merged gate: each check family can fail ---- *)
+
+(* One recorded run of calc, then one injected fault per check family.
+   Each must fail the gate with a message that names the app and the
+   check; the clean run must pass, against a baseline taken from itself. *)
+let test_gate_faults () =
+  let open Perf.Scenario in
+  let calc = Option.get (Apps.Suite.find "calc") in
+  let t = Apps.Suite.target calc in
+  let clean = run_app calc in
+  let base, profiles = suite_model [ clean ] in
+  let gate ?(base = base) r =
+    gate ~base ~base_folded:(fun app -> List.assoc_opt app profiles) [ r ]
+  in
+  Alcotest.(check (list string)) "clean run passes" [] (gate clean).v_failures;
+  let bump (n, (m : Perf.Model.metric)) =
+    if n <> "instructions" then (n, m)
+    else (n, { m with Perf.Model.m_value = m.Perf.Model.m_value +. 1.0 })
+  in
+  (* a recorded syscall result perturbed before replay; the unfused
+     re-recording no longer matches it either *)
+  let perturbed () =
+    let perturb = function
+      | Replay.Trace.E_syscall sc when sc.Replay.Trace.sc_name = "exit_group"
+        ->
+          Replay.Trace.E_syscall
+            { sc with
+              Replay.Trace.sc_result = Int64.logxor sc.Replay.Trace.sc_result 1L
+            }
+      | ev -> ev
+    in
+    let tr = clean.ar_trace in
+    gate
+      { clean with
+        ar_trace =
+          { tr with
+            Replay.Trace.tr_events = Array.map perturb tr.Replay.Trace.tr_events
+          } }
+  in
+  let faults =
+    [
+      (* an allowlist missing one syscall the app makes *)
+      ( "soundness", "denied under derived policy: write",
+        fun () ->
+          let s = Analysis.Reach.analyze_binary t.Apps.Suite.t_binary in
+          let summary =
+            { s with
+              Analysis.Reach.s_syscalls =
+                List.filter (( <> ) "write") s.Analysis.Reach.s_syscalls }
+          in
+          gate
+            { clean with
+              ar_soundness =
+                Analysis.Crosscheck.run ~kernel:(Apps.Suite.boot t)
+                  ~argv:t.Apps.Suite.t_argv ~summary
+                  ~binary:t.Apps.Suite.t_binary () } );
+      (* a baseline with one counter off by one *)
+      ( "counters", "instructions drifted",
+        fun () ->
+          let base, _ =
+            suite_model
+              [ { clean with ar_metrics = List.map bump clean.ar_metrics } ]
+          in
+          let v = gate ~base clean in
+          if not (Astring_contains.contains v.v_diffs "--- calc ---") then
+            Alcotest.fail "drift without a flamegraph diff";
+          v );
+      ("replay", "result mismatch", perturbed);
+      ("fusion", "different traces", perturbed);
+      (* malformed artifacts *)
+      ( "artifacts", "profile: malformed",
+        fun () -> gate { clean with ar_folded = "main;compute heavy" } );
+      ( "artifacts", "metrics:",
+        fun () -> gate { clean with ar_metrics_json = "{}" } );
+      ( "artifacts", "trace:",
+        fun () -> gate { clean with ar_trace_json = "{\"traceEvents\": [" } );
+    ]
+  in
+  List.iter
+    (fun (check, detail, inject) ->
+      let failures = (inject ()).v_failures in
+      let prefix = "calc: " ^ check ^ ": " in
+      let named f =
+        String.starts_with ~prefix f && Astring_contains.contains f detail
+      in
+      if not (List.exists named failures) then
+        Alcotest.failf "fault %S: no %S failure among:\n%s" detail prefix
+          (String.concat "\n" failures))
+    faults
+
 let tests =
   [
     Alcotest.test_case "min-of-N with MAD band" `Quick test_stats;
@@ -242,4 +333,6 @@ let tests =
     Alcotest.test_case "differential profiler" `Quick test_diffprof;
     Alcotest.test_case "gate scenarios deterministic" `Quick
       test_scenario_deterministic;
+    Alcotest.test_case "gate fails on each injected fault" `Quick
+      test_gate_faults;
   ]

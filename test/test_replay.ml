@@ -8,27 +8,22 @@ let contains = Astring_contains.contains
 
 (* ---- helpers ---- *)
 
-(* Record a suite app the way walireplay does: boot, app setup, scripted
-   stdin with EOF, then the recorded run. *)
+let target name =
+  match Apps.Suite.load (`App name) with
+  | Ok t -> t
+  | Error e -> Alcotest.fail e
+
+(* Record a suite app the way walireplay does, on the kernel
+   Apps.Suite.boot prepares. *)
 let record_app name : Replay.Recorder.run * string =
-  match Apps.Suite.find name with
-  | None -> Alcotest.failf "no app %s" name
-  | Some a ->
-      let kernel = Kernel.Task.boot () in
-      a.Apps.Suite.a_setup kernel;
-      if a.Apps.Suite.a_stdin <> "" then begin
-        Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-        Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-      end;
-      ( Replay.Recorder.record ~app:name ~kernel
-          ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] (),
-        Apps.Suite.binary_of a )
+  let t = target name in
+  ( Replay.Recorder.record ~app:name ~kernel:(Apps.Suite.boot t)
+      ~binary:t.Apps.Suite.t_binary ~argv:t.Apps.Suite.t_argv ~env:[] (),
+    t.Apps.Suite.t_binary )
 
 let replay_app name trace binary =
-  match Apps.Suite.find name with
-  | None -> Alcotest.failf "no app %s" name
-  | Some a ->
-      Replay.Replayer.replay ~setup:a.Apps.Suite.a_setup ~trace ~binary ()
+  Replay.Replayer.replay ~kernel:(Apps.Suite.boot (target name)) ~trace ~binary
+    ()
 
 (* Rewrite the first E_syscall named [name] with [f]; returns its index. *)
 let perturb_syscall (t : Replay.Trace.t) ~name f : int * Replay.Trace.t =
