@@ -30,12 +30,12 @@ let load_trace prog file =
 
 (* One sink serves --trace-out, --metrics and --profile-out (and walirun's
    --top, which reads the metrics pillar); None when no flag asks for one. *)
-let sink ?metrics ?(top = false) ~trace_out ~metrics_out ~profile_out () =
+let sink ?(top = false) ~trace_out ~metrics_out ~profile_out () =
   if trace_out = None && metrics_out = None && profile_out = None && not top
   then None
   else
     Some
-      (Observe.Sink.create ?metrics
+      (Observe.Sink.create
          {
            Observe.Sink.c_metrics = metrics_out <> None || top;
            c_trace = trace_out <> None;

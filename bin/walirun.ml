@@ -24,12 +24,7 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
   in
   let binary = t.Apps.Suite.t_binary in
   let tracer = Wali.Strace.create ~verbose:trace () in
-  (* The sink shares the strace tracer's metrics registry, so per-syscall
-     aggregation happens exactly once (see Interface.traced_dispatch). *)
-  let observe =
-    Cli.sink ~metrics:(Wali.Strace.metrics tracer) ~top ~trace_out ~metrics_out
-      ~profile_out ()
-  in
+  let observe = Cli.sink ~top ~trace_out ~metrics_out ~profile_out () in
   let dump_observe () =
     Option.iter
       (fun o ->
@@ -52,8 +47,8 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
             (Printexc.to_string e);
           exit 2
   in
-  (* --deny rules land on top of the derived/open policy; rules prepend,
-     so the most recently added (the deny) wins. *)
+  (* --deny rules land on top of the derived/open policy: the most
+     recently added rule for a name (the deny) wins. *)
   List.iter (fun name -> Wali.Seccomp.deny policy name ()) deny;
   let poll_scheme =
     match poll with

@@ -80,8 +80,12 @@ and interposer = {
 let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true)
     ?(trace = Strace.create ()) ?(policy = Seccomp.allow_all ()) ?observe
     (kernel : Kernel.Task.kernel) : t =
+  (* The sink reads the tracer's registry rather than keeping its own:
+     each crossing is aggregated once, by [Strace.note]. *)
   (match observe with
-  | Some o -> Observe.Sink.set_kstats o kernel.Kernel.Task.stats
+  | Some o ->
+      Observe.Sink.bind o ~metrics:(Strace.metrics trace)
+        ~kstats:kernel.Kernel.Task.stats
   | None -> ());
   {
     kernel;
@@ -137,6 +141,45 @@ let register_proc eng (p : proc) =
       Observe.Sink.proc_start o ~pid:t.Kernel.Task.tgid ~tid:t.Kernel.Task.tid
         ~comm:t.Kernel.Task.comm ~ts:(Fiber.now ())
   | None -> ()
+
+(** The one way a process or thread comes into being: build its syscall
+    context and [proc] record around [task] and register it. *)
+let add_proc eng (task : Kernel.Task.t) ~(shared : pshared)
+    ~(machine : Rt.machine) : proc =
+  let p =
+    {
+      pr_task = task;
+      pr_sys = Kernel.Syscalls.make_ctx eng.kernel task eng.futexes;
+      pr_shared = shared;
+      pr_machine = Some machine;
+      pr_result = None;
+    }
+  in
+  register_proc eng p;
+  p
+
+(** Close the books on a machine that stops running — its task exits or
+    execve replaces it: charge its last steps to the profile and retire
+    its instruction count. *)
+let retire_machine eng (m : Rt.machine) : unit =
+  match eng.observe with
+  | Some o ->
+      if Observe.Sink.profiling o then begin
+        Observe.Sink.prof_sample o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
+          ~stack:(fun () -> machine_stack m);
+        Observe.Sink.prof_reset o ~pid:m.Rt.m_pid
+      end;
+      Observe.Sink.instr_retire o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
+        ~fused:m.Rt.fused
+  | None -> ()
+
+(** Run a host call's [live] thunk through the installed interposer, or
+    directly when there is none. *)
+let interposed eng (p : proc) name (m : Rt.machine) args
+    (live : unit -> Rt.host_outcome) : Rt.host_outcome =
+  match eng.interpose with
+  | Some ip -> ip.ip_dispatch eng p name m args live
+  | None -> live ()
 
 (* ------------------------------------------------------------------ *)
 (* Virtual signal delivery at safepoints (paper §3.3, Fig 5)            *)
@@ -253,6 +296,16 @@ let poll_hook eng : Rt.machine -> unit =
   (match eng.interpose with Some ip -> ip.ip_poll eng p m | None -> ());
   deliver_signals eng p m
 
+(** A fresh machine on [inst] for task [tid], with the safepoint hook
+    and the profiler hook installed: every new process image and every
+    spawned thread starts here (fork children clone their parent's). *)
+let new_machine eng (inst : Rt.instance) ~(tid : int) : Rt.machine =
+  let m = Rt.Machine.create inst in
+  m.Rt.m_pid <- tid;
+  m.Rt.poll_hook <- Some (poll_hook eng);
+  install_prof eng m;
+  m
+
 (* ------------------------------------------------------------------ *)
 (* Image construction                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -353,20 +406,9 @@ let do_exit eng (p : proc) ~(status : int) : unit =
   end;
   Task.exit_task eng.kernel task ~status;
   eng.live_procs <- eng.live_procs - 1;
+  Option.iter (retire_machine eng) p.pr_machine;
   (match eng.observe with
   | Some o ->
-      (match p.pr_machine with
-      | Some m ->
-          (* Attribute the final stretch of steps, then retire the
-             machine's instruction count. *)
-          if Observe.Sink.profiling o then begin
-            Observe.Sink.prof_sample o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
-              ~stack:(fun () -> machine_stack m);
-            Observe.Sink.prof_reset o ~pid:m.Rt.m_pid
-          end;
-          Observe.Sink.instr_retire o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
-            ~fused:m.Rt.fused
-      | None -> ());
       Observe.Sink.proc_exit o ~pid:task.Task.tgid ~tid:task.Task.tid ~status
         ~ts:(Fiber.now ())
   | None -> ());

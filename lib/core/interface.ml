@@ -40,16 +40,7 @@ let do_fork eng (p : Engine.proc) (child_m : Rt.machine) : int64 =
     }
   in
   child_m.Rt.m_pid <- child_task.Task.tid;
-  let cp =
-    {
-      Engine.pr_task = child_task;
-      pr_sys = Syscalls.make_ctx eng.Engine.kernel child_task eng.Engine.futexes;
-      pr_shared = shared;
-      pr_machine = Some child_m;
-      pr_result = None;
-    }
-  in
-  Engine.register_proc eng cp;
+  let cp = Engine.add_proc eng child_task ~shared ~machine:child_m in
   (* Instruction accounting: the child machine clones the parent's step
      counter, so retire only what it executes from here on. (The cloned
      prof_hook likewise re-baselines on the child's first sample.) *)
@@ -105,20 +96,8 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
           Rt.H_exec
             (fun () ->
               let task = p.Engine.pr_task in
-              (* Close the books on the replaced machine: charge its last
-                 steps and retire its instruction count; the new image
-                 starts from a fresh counter. *)
-              (match (eng.Engine.observe, p.Engine.pr_machine) with
-              | Some o, Some m_old ->
-                  if Observe.Sink.profiling o then begin
-                    Observe.Sink.prof_sample o ~pid:m_old.Rt.m_pid
-                      ~steps:m_old.Rt.steps
-                      ~stack:(fun () -> Engine.machine_stack m_old);
-                    Observe.Sink.prof_reset o ~pid:m_old.Rt.m_pid
-                  end;
-                  Observe.Sink.instr_retire o ~pid:m_old.Rt.m_pid
-                    ~steps:m_old.Rt.steps ~fused:m_old.Rt.fused
-              | _ -> ());
+              (* the new image starts from a fresh step counter *)
+              Option.iter (Engine.retire_machine eng) p.Engine.pr_machine;
               (* POSIX: caught signals reset to default across exec. *)
               let actions = task.Task.group.Task.actions in
               Array.iteri
@@ -132,10 +111,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
                  realized directly in the engine). *)
               p.Engine.pr_shared <-
                 Engine.make_pshared eng ~inst ~argv ~env:envp ~binary;
-              let m' = Rt.Machine.create inst in
-              m'.Rt.m_pid <- task.Task.tid;
-              m'.Rt.poll_hook <- Some (Engine.poll_hook eng);
-              Engine.install_prof eng m';
+              let m' = Engine.new_machine eng inst ~tid:task.Task.tid in
               (match Rt.exported_func inst "_start" with
               | Rt.Wasm_func { wf_inst; wf_code } ->
                   Rt.Machine.push_frame m' wf_inst wf_code
@@ -155,21 +131,10 @@ let do_thread_spawn eng (p : Engine.proc) (m : Rt.machine) ~entry_idx ~arg :
       in
       (* Instance-per-thread: per-thread execution state lives in the new
          machine; the process image (memory, tables, code) is shared. *)
-      let tm = Rt.Machine.create m.Rt.m_inst in
-      tm.Rt.m_pid <- child_task.Task.tid;
-      tm.Rt.poll_hook <- Some (Engine.poll_hook eng);
-      Engine.install_prof eng tm;
+      let tm = Engine.new_machine eng m.Rt.m_inst ~tid:child_task.Task.tid in
       let cp =
-        {
-          Engine.pr_task = child_task;
-          pr_sys =
-            Syscalls.make_ctx eng.Engine.kernel child_task eng.Engine.futexes;
-          pr_shared = p.Engine.pr_shared;
-          pr_machine = Some tm;
-          pr_result = None;
-        }
+        Engine.add_proc eng child_task ~shared:p.Engine.pr_shared ~machine:tm
       in
-      Engine.register_proc eng cp;
       ignore
         (Fiber.spawn
            (Printf.sprintf "wali-tid%d" child_task.Task.tid)
@@ -191,9 +156,8 @@ let forbidden_path path =
 
 exception Sys_ret of int64
 
-let dispatch_raw eng (name : string) (m : Rt.machine)
+let dispatch_raw eng (p : Engine.proc) (name : string) (m : Rt.machine)
     (args : Values.value array) : (Rt.host_outcome, Errno.t) result =
-  let p = Engine.proc_of eng m in
   let ctx = p.Engine.pr_sys in
   let mem = Rt.memory0 m in
   let sh = p.Engine.pr_shared in
@@ -763,14 +727,19 @@ let dispatch_raw eng (name : string) (m : Rt.machine)
 (* Collapse the Result plumbing: [Error e] from a let* chain is an errno
    return; Sys_ret carries successful encodings; failed pointer
    translation is -EFAULT, as in the raw kernel ABI. *)
-let dispatch eng name m args : Rt.host_outcome =
-  match dispatch_raw eng name m args with
+let dispatch_proc eng p name m args : Rt.host_outcome =
+  match dispatch_raw eng p name m args with
   | Ok o -> o
   | Error e -> Rt.H_return [ Values.I64 (errno_ret e) ]
   | exception Sys_ret v -> Rt.H_return [ Values.I64 v ]
   | exception Abi.Efault -> Rt.H_return [ Values.I64 (errno_ret Errno.EFAULT) ]
   | exception Rt.Memory.Bounds ->
       Rt.H_return [ Values.I64 (errno_ret Errno.EFAULT) ]
+
+(** Serve one syscall for machine [m] with no seccomp check, tracing or
+    interposition (the native and RV32 backends call this directly). *)
+let dispatch eng name m args : Rt.host_outcome =
+  dispatch_proc eng (Engine.proc_of eng m) name m args
 
 (* ------------------------------------------------------------------ *)
 (* Host function construction / resolver                                *)
@@ -784,7 +753,7 @@ let traced_dispatch eng name (m : Rt.machine) (args : Values.value array) :
      outcome, the replayer substitutes the logged outcome for it. *)
   let live () =
     match Seccomp.check eng.Engine.policy name with
-    | Seccomp.Allow -> dispatch eng name m args
+    | Seccomp.Allow -> dispatch_proc eng p name m args
     | Seccomp.Deny e -> Rt.H_return [ Values.I64 (errno_ret e) ]
     | Seccomp.Kill ->
         raise (Engine.Killed_by (Ktypes.wsignal_status Ktypes.sigsys))
@@ -794,25 +763,16 @@ let traced_dispatch eng name (m : Rt.machine) (args : Values.value array) :
   (match eng.Engine.observe with
   | Some o -> Observe.Sink.syscall_begin o ~pid ~tid ~name ~ts:t0
   | None -> ());
-  let outcome =
-    match eng.Engine.interpose with
-    | Some ip -> ip.Engine.ip_dispatch eng p name m args live
-    | None -> live ()
-  in
+  let outcome = Engine.interposed eng p name m args live in
   let t1 = Fiber.now () in
   let ns = Int64.sub t1 t0 in
   let result =
     match outcome with Rt.H_return [ Values.I64 r ] -> r | _ -> 0L
   in
-  Strace.note eng.Engine.trace ~pid ~name
-    ~args:(Array.to_list (Array.map Values.as_i64 args))
-    ~result ~ns;
+  (* the one aggregation of this crossing; a sink reads the same registry *)
+  Strace.note eng.Engine.trace ~pid ~name ~args ~result ~ns;
   (match eng.Engine.observe with
   | Some o ->
-      (* When the sink shares the tracer's registry, Strace.note above
-         already aggregated this call — don't count it twice. *)
-      if not (Observe.Sink.metrics o == Strace.metrics eng.Engine.trace) then
-        Observe.Sink.record_syscall o ~name ~result ~ns;
       Observe.Sink.syscall_end o ~pid ~tid ~name ~ts:t1 ~ns ~result
         ~stack:(fun () -> Engine.machine_stack m)
   | None -> ());
@@ -898,9 +858,7 @@ let thread_spawn_host_func eng : Rt.func_inst =
             in
             Rt.H_return [ Values.I32 (Int64.to_int32 tid) ]
           in
-          match eng.Engine.interpose with
-          | Some ip -> ip.Engine.ip_dispatch eng p "thread_spawn" m args live
-          | None -> live ());
+          Engine.interposed eng p "thread_spawn" m args live);
     }
 
 (** The engine's import resolver for the ["wali"] namespace. *)
@@ -928,60 +886,65 @@ let () = resolver_ref := fun eng ~module_name ~name -> resolver eng ~module_name
 
 (** Launch a Wasm binary as the initial WALI process (with stdio on the
     console). Returns the process; its result is available once the
-    scheduler drains. *)
+    scheduler drains. A module without a [_start] export traps inside
+    the process (SIGILL status) rather than escaping the scheduler. *)
 let spawn_init (eng : Engine.t) ~(binary : string) ~(argv : string list)
     ~(env : string list) : Engine.proc =
   let name = match argv with a :: _ -> Filename.basename a | [] -> "wali-app" in
   let inst = Engine.build_image eng ~resolver:(resolver eng) ~binary ~name in
   let task = Task.make_init eng.Engine.kernel ~comm:name in
   Engine.setup_stdio eng task;
-  let m = Rt.Machine.create inst in
-  m.Rt.m_pid <- task.Task.tid;
-  m.Rt.poll_hook <- Some (Engine.poll_hook eng);
-  Engine.install_prof eng m;
+  let m = Engine.new_machine eng inst ~tid:task.Task.tid in
   let p =
-    {
-      Engine.pr_task = task;
-      pr_sys = Syscalls.make_ctx eng.Engine.kernel task eng.Engine.futexes;
-      pr_shared = Engine.make_pshared eng ~inst ~argv ~env ~binary;
-      pr_machine = Some m;
-      pr_result = None;
-    }
+    Engine.add_proc eng task
+      ~shared:(Engine.make_pshared eng ~inst ~argv ~env ~binary)
+      ~machine:m
   in
-  Engine.register_proc eng p;
-  let entry = Rt.exported_func inst "_start" in
+  let entry =
+    match Rt.export_opt inst "_start" with
+    | Some (Rt.E_func f) -> Some f
+    | _ -> None
+  in
   ignore
     (Fiber.spawn name (fun () ->
-         Engine.run_machine_body eng p m ~fresh_entry:true ~entry:(Some entry)
-           ~args:[]));
+         Engine.run_machine_body eng p m ~fresh_entry:true ~entry ~args:[]));
   p
 
-(** One-call convenience: boot a kernel, install the program at [path] in
-    the VFS, run it to completion, return (exit_status, console output,
-    result). Used by tests, examples and benches. *)
-let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
-    ?(fuse = true) ?(trace : Strace.t option) ?(policy : Seccomp.t option)
-    ?(observe : Observe.Sink.t option) ~(binary : string)
-    ~(argv : string list) ~(env : string list) () :
-    int * string * Interp.run_result option =
-  let kernel = match kernel with Some k -> k | None -> Task.boot () in
-  let trace = match trace with Some t -> t | None -> Strace.create () in
-  let policy = match policy with Some p -> p | None -> Seccomp.allow_all () in
-  let eng = Engine.create ~poll_scheme ~fuse ~trace ~policy ?observe kernel in
+(** Run a Wasm binary as the initial process of [eng] until the scheduler
+    drains, with the engine's sink attached for the run. An exit hook the
+    caller installed on [eng] keeps seeing every process exit. Returns
+    the initial process's packed wait status and result. *)
+let run (eng : Engine.t) ~(binary : string) ~(argv : string list)
+    ~(env : string list) : int * Interp.run_result option =
   let status = ref 0 in
   let result = ref None in
-  (match observe with Some o -> Observe.Sink.attach o | None -> ());
+  let chained = eng.Engine.on_proc_exit in
+  Option.iter Observe.Sink.attach eng.Engine.observe;
   Fun.protect
-    ~finally:(fun () ->
-      match observe with Some o -> Observe.Sink.detach o | None -> ())
+    ~finally:(fun () -> Option.iter Observe.Sink.detach eng.Engine.observe)
     (fun () ->
       Fiber.run (fun () ->
           let p = spawn_init eng ~binary ~argv ~env in
           eng.Engine.on_proc_exit <-
             Some
               (fun q st ->
+                Option.iter (fun f -> f q st) chained;
                 if q == p then begin
                   status := st;
                   result := q.Engine.pr_result
                 end)));
-  (!status, Task.console_output kernel, !result)
+  (!status, !result)
+
+(** One-call convenience: boot a kernel (unless given one), create an
+    engine over it and {!run} [binary] to completion; returns
+    (exit_status, console output, result). Used by tests, examples and
+    benches. *)
+let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
+    ?(fuse = true) ?(trace : Strace.t option) ?(policy : Seccomp.t option)
+    ?(observe : Observe.Sink.t option) ~(binary : string)
+    ~(argv : string list) ~(env : string list) () :
+    int * string * Interp.run_result option =
+  let kernel = match kernel with Some k -> k | None -> Task.boot () in
+  let eng = Engine.create ~poll_scheme ~fuse ?trace ?policy ?observe kernel in
+  let status, result = run eng ~binary ~argv ~env in
+  (status, Task.console_output kernel, result)

@@ -4,51 +4,42 @@
     Because WALI syscalls are name-bound, policies are ISA-agnostic and
     can be expressed against names rather than numbers. Policies compose:
     for a given syscall name the most recently added rule wins, then the
-    default applies. Rules are kept most-recent-first ([allow]/[deny]/
-    [kill_on] all prepend), so resolution is the first name match. *)
+    default applies. Rules are a table keyed by name, so adding a rule
+    replaces any earlier one for that name. *)
 
 type verdict =
   | Allow
   | Deny of Kernel.Errno.t (* fail the call with an errno *)
   | Kill (* terminate the process, like SECCOMP_RET_KILL *)
 
-type rule = { r_name : string; r_verdict : verdict }
-
 type t = {
-  mutable rules : rule list;
+  rules : (string, verdict) Hashtbl.t; (* syscall name -> latest rule *)
   mutable default : verdict;
   mutable hits : (string, int) Hashtbl.t; (* denied-call accounting *)
 }
 
-let allow_all () = { rules = []; default = Allow; hits = Hashtbl.create 8 }
+let make default = { rules = Hashtbl.create 64; default; hits = Hashtbl.create 8 }
+let allow_all () = make Allow
+let allow t name = Hashtbl.replace t.rules name Allow
+
+let deny t name ?(errno = Kernel.Errno.EPERM) () =
+  Hashtbl.replace t.rules name (Deny errno)
+
+let kill_on t name = Hashtbl.replace t.rules name Kill
 
 (** A default-deny policy seeded with an allowlist, the shape used by
     gVisor/Nabla-style secure containers. *)
 let allowlist names =
-  {
-    (* reversed so that, should a name repeat, the later entry is first
-       and wins — the same most-recent-first order the mutators keep *)
-    rules = List.rev_map (fun n -> { r_name = n; r_verdict = Allow }) names;
-    default = Deny Kernel.Errno.EPERM;
-    hits = Hashtbl.create 8;
-  }
-
-(* Mutators prepend: the head of [rules] is always the newest rule, so
-   a later [deny] overrides an earlier allowlist entry and vice versa. *)
-let allow t name = t.rules <- { r_name = name; r_verdict = Allow } :: t.rules
-
-let deny t name ?(errno = Kernel.Errno.EPERM) () =
-  t.rules <- { r_name = name; r_verdict = Deny errno } :: t.rules
-
-let kill_on t name = t.rules <- { r_name = name; r_verdict = Kill } :: t.rules
+  let t = make (Deny Kernel.Errno.EPERM) in
+  List.iter (allow t) names;
+  t
 
 (** Resolve [name]: the most recently added rule for the name, or the
-    policy default. First match is correct because rules are kept
-    most-recent-first. *)
+    policy default. *)
 let check t name : verdict =
   let v =
-    match List.find_opt (fun r -> r.r_name = name) t.rules with
-    | Some r -> r.r_verdict
+    match Hashtbl.find_opt t.rules name with
+    | Some v -> v
     | None -> t.default
   in
   (match v with

@@ -4,8 +4,8 @@
     The per-syscall aggregation itself lives in {!Observe.Metrics} — this
     module is a thin consumer that adds the verbose strace-style line
     rendering and the frequency-ordered profile views. An observability
-    sink can share the same registry (see {!of_metrics} / {!metrics}) so
-    each WALI crossing is counted exactly once, whoever is looking. *)
+    sink attached to the engine reads this same registry (see {!metrics}),
+    so each WALI crossing is counted exactly once, whoever is looking. *)
 
 type t = {
   reg : Observe.Metrics.t;
@@ -15,10 +15,6 @@ type t = {
 
 let create ?(verbose = false) () =
   { reg = Observe.Metrics.create (); verbose; log = None }
-
-(** A tracer over an existing registry (shared with an observability
-    sink, or replaying a recorded run into a fresh view). *)
-let of_metrics ?(verbose = false) reg = { reg; verbose; log = None }
 
 let metrics t = t.reg
 
@@ -30,12 +26,17 @@ let pp_arg (v : int64) : string =
   if Int64.compare v 0x10000L >= 0 then Printf.sprintf "0x%Lx" v
   else Int64.to_string v
 
-let note t ~pid ~name ~args ~(result : int64) ~ns =
+(** Aggregate one crossing; render its strace line only when [verbose]
+    (the raw arguments are read only then). *)
+let note t ~pid ~name ~(args : Wasm.Values.value array) ~(result : int64) ~ns =
   Observe.Metrics.record t.reg ~name ~result ~ns;
   if t.verbose then begin
     let line =
       Printf.sprintf "[%d] %s(%s) = %Ld" pid name
-        (String.concat ", " (List.map pp_arg args))
+        (String.concat ", "
+           (List.map
+              (fun v -> pp_arg (Wasm.Values.as_i64 v))
+              (Array.to_list args)))
         result
     in
     match t.log with Some f -> f line | None -> prerr_endline line

@@ -31,8 +31,8 @@ type prof_state = { mutable ps_last_steps : int64 }
 
 type t = {
   cfg : config;
-  reg : Metrics.t; (* possibly shared with Strace *)
-  mutable ks : Metrics.kstats option; (* kernel counter block, set at attach *)
+  mutable reg : Metrics.t; (* the engine tracer's registry, once bound *)
+  mutable ks : Metrics.kstats option; (* kernel counter block, once bound *)
   tb : Tracebuf.t;
   pf : Profile.t;
   prof : (int, prof_state) Hashtbl.t; (* pid -> step counter at last sample *)
@@ -57,10 +57,10 @@ type t = {
   mutable last_q_end : int64;
 }
 
-let create ?metrics cfg =
+let create cfg =
   {
     cfg;
-    reg = (match metrics with Some m -> m | None -> Metrics.create ());
+    reg = Metrics.create ();
     ks = None;
     tb = Tracebuf.create ();
     pf = Profile.create ();
@@ -85,7 +85,14 @@ let create ?metrics cfg =
   }
 
 let metrics o = o.reg
-let set_kstats o ks = o.ks <- Some ks
+
+(** Point the sink at the registries of the engine it observes: the
+    tracer's per-syscall registry, which aggregates each crossing once,
+    and the kernel's counter block. The sink keeps no count of its own. *)
+let bind o ~metrics ~kstats =
+  o.reg <- metrics;
+  o.ks <- Some kstats
+
 let profiling o = o.cfg.c_profile
 let tracing o = o.cfg.c_trace
 
@@ -93,11 +100,6 @@ let tracing o = o.cfg.c_trace
 
 let syscall_begin o ~pid ~tid ~name ~ts =
   if o.cfg.c_trace then Tracebuf.span_begin o.tb ~name ~cat:"syscall" ~pid ~tid ~ts
-
-(** Aggregate one completed syscall into the registry. Callers sharing
-    the registry with a {!Strace} tracer must not call this (the tracer
-    already recorded it) — see [Interface.traced_dispatch]. *)
-let record_syscall o ~name ~result ~ns = Metrics.record o.reg ~name ~result ~ns
 
 let syscall_end o ~pid ~tid ~name ~ts ~ns ~result ~(stack : unit -> string list)
     =

@@ -42,11 +42,7 @@ let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
   in
   let policy = Analysis.Reach.policy summary in
   let strace = Wali.Strace.create () in
-  (* the sink shares the tracer's registry: each crossing counts once *)
-  let sink =
-    Observe.Sink.create ~metrics:(Wali.Strace.metrics strace)
-      Observe.Sink.all_on
-  in
+  let sink = Observe.Sink.create Observe.Sink.all_on in
   let r = record ~strace ~observe:sink ~fuse ~policy t in
   let status = r.Replay.Recorder.r_status in
   let rc = Observe.Sink.run_counters sink in

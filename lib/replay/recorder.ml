@@ -155,44 +155,26 @@ type run = {
   r_result : Interp.run_result option;
 }
 
-(** Record one program run. Mirrors [Interface.run_program], with the
-    engine's exit notification shared between status capture and exit
-    logging (the engine has a single [on_proc_exit] slot). *)
+(** Record one program run through [Interface.run]: the recorder owns
+    the engine's interposer slot and logs every process exit from its
+    exit hook; a sink rides in the engine's separate observe slot, so
+    recording and observability compose. *)
 let record ?(app = "") ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?strace
     ?policy ?(kernel : Kernel.Task.kernel option) ?observe ~(binary : string)
     ~(argv : string list) ~(env : string list) () : run =
   let kernel = match kernel with Some k -> k | None -> Kernel.Task.boot () in
-  let strace = match strace with Some t -> t | None -> Strace.create () in
-  let policy = match policy with Some p -> p | None -> Seccomp.allow_all () in
-  (* The sink rides in the engine's dedicated observe slot, so recording
-     (which owns the single interposer slot) and observability compose. *)
   let eng =
-    Engine.create ~poll_scheme ~fuse ~trace:strace ~policy ?observe kernel
+    Engine.create ~poll_scheme ~fuse ?trace:strace ?policy ?observe kernel
   in
   let rc = make () in
   eng.Engine.interpose <- Some (interposer rc);
-  let status = ref 0 in
-  let result = ref None in
-  (match observe with Some o -> Observe.Sink.attach o | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match observe with Some o -> Observe.Sink.detach o | None -> ())
-    (fun () ->
-      Fiber.run (fun () ->
-          let p = Interface.spawn_init eng ~binary ~argv ~env in
-          eng.Engine.on_proc_exit <-
-            Some
-              (fun q st ->
-                emit rc
-                  (Trace.E_exit
-                     {
-                       Trace.ex_pid = q.Engine.pr_task.Kernel.Task.tid;
-                       ex_status = st;
-                     });
-                if q == p then begin
-                  status := st;
-                  result := q.Engine.pr_result
-                end)));
+  eng.Engine.on_proc_exit <-
+    Some
+      (fun q st ->
+        emit rc
+          (Trace.E_exit
+             { Trace.ex_pid = q.Engine.pr_task.Kernel.Task.tid; ex_status = st }));
+  let status, result = Interface.run eng ~binary ~argv ~env in
   let trace =
     {
       Trace.tr_header =
@@ -204,12 +186,12 @@ let record ?(app = "") ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?strace
           h_poll = Trace.poll_scheme_name poll_scheme;
         };
       tr_events = Array.of_list (List.rev rc.rc_events);
-      tr_status = !status;
+      tr_status = status;
     }
   in
   {
     r_trace = trace;
-    r_status = !status;
+    r_status = status;
     r_output = Kernel.Task.console_output kernel;
-    r_result = !result;
+    r_result = result;
   }

@@ -384,57 +384,42 @@ let replay ?(kernel : Kernel.Task.kernel option) ?(check_digest = true)
   else begin
     let st = make trace in
     let kernel = match kernel with Some k -> k | None -> Kernel.Task.boot () in
-    (* When a sink is observing the replay, aggregate syscalls straight
-       into its registry: the regenerated metrics/trace/profile then come
-       from the recorded outcomes, not a live kernel. *)
-    let strace =
-      match observe with
-      | Some o -> Strace.of_metrics (Observe.Sink.metrics o)
-      | None -> Strace.create ()
-    in
     let poll_scheme =
       match Trace.poll_scheme_of_name trace.Trace.tr_header.Trace.h_poll with
       | Some s -> s
       | None -> Code.Poll_loops
     in
-    let eng = Engine.create ~poll_scheme ~fuse ~trace:strace ?observe kernel in
+    (* A sink observing the replay reads the engine tracer's registry: the
+       regenerated metrics/trace/profile then come from the recorded
+       outcomes, not a live kernel. *)
+    let eng = Engine.create ~poll_scheme ~fuse ?observe kernel in
     eng.Engine.interpose <- Some (interposer st);
-    let status = ref 0 in
-    (match observe with Some o -> Observe.Sink.attach o | None -> ());
-    (try
-       Fun.protect
-         ~finally:(fun () ->
-           match observe with Some o -> Observe.Sink.detach o | None -> ())
-         (fun () ->
-           Fiber.run (fun () ->
-               let p =
-                 Interface.spawn_init eng ~binary
-                   ~argv:trace.Trace.tr_header.Trace.h_argv
-                   ~env:trace.Trace.tr_header.Trace.h_env
-               in
-               eng.Engine.on_proc_exit <-
-                 Some
-                   (fun q st_exit ->
-                     on_exit st q st_exit;
-                     if q == p then status := st_exit)))
-     with
-    | Diverged _ -> () (* first divergence already captured in st *)
-    | Fiber.Deadlock names ->
-        if st.st_div = None then
-          st.st_div <-
-            Some
-              {
-                d_index = st.st_cursor;
-                d_pid = 0;
-                d_kind = "schedule";
-                d_expected =
-                  (if st.st_cursor < total then
-                     Trace.pp_event trace.Trace.tr_events.(st.st_cursor)
-                   else "run completion");
-                d_actual =
-                  "scheduler deadlock (suspended: "
-                  ^ String.concat ", " names ^ ")";
-              });
+    eng.Engine.on_proc_exit <- Some (on_exit st);
+    let status =
+      try
+        fst
+          (Interface.run eng ~binary ~argv:trace.Trace.tr_header.Trace.h_argv
+             ~env:trace.Trace.tr_header.Trace.h_env)
+      with
+      | Diverged _ -> 0 (* first divergence already captured in st *)
+      | Fiber.Deadlock names ->
+          if st.st_div = None then
+            st.st_div <-
+              Some
+                {
+                  d_index = st.st_cursor;
+                  d_pid = 0;
+                  d_kind = "schedule";
+                  d_expected =
+                    (if st.st_cursor < total then
+                       Trace.pp_event trace.Trace.tr_events.(st.st_cursor)
+                     else "run completion");
+                  d_actual =
+                    "scheduler deadlock (suspended: "
+                    ^ String.concat ", " names ^ ")";
+                };
+          0
+    in
     if st.st_div = None && st.st_cursor < total then
       st.st_div <-
         Some
@@ -447,7 +432,7 @@ let replay ?(kernel : Kernel.Task.kernel option) ?(check_digest = true)
               Printf.sprintf "replay finished after %d of %d records"
                 st.st_cursor total;
           };
-    if st.st_div = None && !status <> trace.Trace.tr_status then
+    if st.st_div = None && status <> trace.Trace.tr_status then
       st.st_div <-
         Some
           {
@@ -455,13 +440,13 @@ let replay ?(kernel : Kernel.Task.kernel option) ?(check_digest = true)
             d_pid = 0;
             d_kind = "final status";
             d_expected = Printf.sprintf "0x%x" trace.Trace.tr_status;
-            d_actual = Printf.sprintf "0x%x" !status;
+            d_actual = Printf.sprintf "0x%x" status;
           };
     {
-      rp_status = !status;
+      rp_status = status;
       rp_consumed = st.st_cursor;
       rp_total = total;
       rp_divergence = st.st_div;
-      rp_errors = Strace.total_errors strace;
+      rp_errors = Strace.total_errors eng.Engine.trace;
     }
   end

@@ -38,6 +38,9 @@ let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base :
       i_codes = [||];
     }
   in
+  (* Not [Engine.new_machine]: this machine only carries the memory for
+     the dispatcher, and the backend polls signals itself ([native_poll]),
+     so it must not get the Wasm safepoint hook. *)
   let m = Wasm.Rt.Machine.create inst in
   m.Wasm.Rt.m_pid <- task.Task.tid;
   let shared =
@@ -51,17 +54,7 @@ let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base :
       ps_binary = "";
     }
   in
-  let p =
-    {
-      Wali.Engine.pr_task = task;
-      pr_sys = Syscalls.make_ctx eng.Wali.Engine.kernel task eng.Wali.Engine.futexes;
-      pr_shared = shared;
-      pr_machine = Some m;
-      pr_result = None;
-    }
-  in
-  Wali.Engine.register_proc eng p;
-  (p, m)
+  (Wali.Engine.add_proc eng task ~shared ~machine:m, m)
 
 (* Deliver pending signals to a native task; handlers are MiniC functions
    resolved through the fnptr table. *)

@@ -64,21 +64,14 @@ let run ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
           Link.(adapter_resolver <+> mem_resolver)
           app_cm
       in
-      let m = Rt.Machine.create app_inst in
-      m.Rt.m_pid <- task.Task.tid;
-      m.Rt.poll_hook <- Some (Wali.Engine.poll_hook eng);
+      let m = Wali.Engine.new_machine eng app_inst ~tid:task.Task.tid in
       let p =
-        {
-          Wali.Engine.pr_task = task;
-          pr_sys = sys;
-          pr_shared =
-            Wali.Engine.make_pshared eng ~inst:app_inst ~argv ~env
-              ~binary:app_binary;
-          pr_machine = Some m;
-          pr_result = None;
-        }
+        Wali.Engine.add_proc eng task
+          ~shared:
+            (Wali.Engine.make_pshared eng ~inst:app_inst ~argv ~env
+               ~binary:app_binary)
+          ~machine:m
       in
-      Wali.Engine.register_proc eng p;
       eng.Wali.Engine.on_proc_exit <-
         Some (fun q st -> if q == p then status := st);
       let entry = Rt.exported_func app_inst "_start" in

@@ -242,6 +242,33 @@ let test_replay_regenerates_metrics () =
     (calls_by_name (Observe.Sink.metrics recorded))
     (calls_by_name (Observe.Sink.metrics replayed))
 
+(* ---- one count per crossing ---- *)
+
+(* A tracer and a metrics-only sink on one run, as the walibench counting
+   pass attaches them: the sink's per-syscall calls are the tracer's, and
+   neither differs from a run with no sink. *)
+let test_crossing_counted_once () =
+  let calc = find_app "calc" in
+  let plain = Wali.Strace.create () in
+  ignore (Apps.Suite.run ~trace:plain calc);
+  let strace = Wali.Strace.create () in
+  let sink = Observe.Sink.create Observe.Sink.metrics_only in
+  ignore (Apps.Suite.run ~trace:strace ~observe:sink calc);
+  let by_name = calls_by_name (Observe.Sink.metrics sink) in
+  Alcotest.(check bool) "calc crosses the boundary" true (by_name <> []);
+  Alcotest.(check int)
+    "sink per-syscall calls = Strace.total_calls"
+    (Wali.Strace.total_calls strace)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 by_name);
+  Alcotest.(check (list (pair string int)))
+    "sink rows = tracer profile"
+    (List.sort compare (Wali.Strace.profile strace))
+    by_name;
+  Alcotest.(check int)
+    "same count as a run with no sink"
+    (Wali.Strace.total_calls plain)
+    (Wali.Strace.total_calls strace)
+
 (* ---- strace hex rendering ---- *)
 
 let test_strace_hex_args () =
@@ -249,9 +276,10 @@ let test_strace_hex_args () =
   let lines = ref [] in
   t.Wali.Strace.log <- Some (fun l -> lines := l :: !lines);
   Wali.Strace.note t ~pid:7 ~name:"write"
-    ~args:[ 3L; 0x12340L; 64L ]
+    ~args:Wasm.Values.[| I64 3L; I64 0x12340L; I64 64L |]
     ~result:64L ~ns:100L;
-  Wali.Strace.note t ~pid:7 ~name:"close" ~args:[ 0xFFFFL ] ~result:0L ~ns:0L;
+  Wali.Strace.note t ~pid:7 ~name:"close"
+    ~args:[| Wasm.Values.I64 0xFFFFL |] ~result:0L ~ns:0L;
   match List.rev !lines with
   | [ w; c ] ->
       Alcotest.(check string)
@@ -278,4 +306,6 @@ let tests =
       test_replay_regenerates_metrics;
     Alcotest.test_case "strace renders addresses in hex" `Quick
       test_strace_hex_args;
+    Alcotest.test_case "each crossing counted once" `Quick
+      test_crossing_counted_once;
   ]

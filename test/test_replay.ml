@@ -357,7 +357,7 @@ let test_golden_trace () =
 let test_profile_tiebreak () =
   let t = Wali.Strace.create () in
   let hit name result =
-    Wali.Strace.note t ~pid:1 ~name ~args:[] ~result ~ns:10L
+    Wali.Strace.note t ~pid:1 ~name ~args:[||] ~result ~ns:10L
   in
   (* equal counts must sort by name, not hashtable order *)
   hit "write" 1L;
@@ -377,9 +377,9 @@ let test_profile_tiebreak () =
 
 let test_strace_info () =
   let t = Wali.Strace.create () in
-  Wali.Strace.note t ~pid:1 ~name:"read" ~args:[] ~result:5L ~ns:100L;
-  Wali.Strace.note t ~pid:1 ~name:"read" ~args:[] ~result:(-9L) ~ns:50L;
-  Wali.Strace.note t ~pid:1 ~name:"write" ~args:[] ~result:1L ~ns:7L;
+  Wali.Strace.note t ~pid:1 ~name:"read" ~args:[||] ~result:5L ~ns:100L;
+  Wali.Strace.note t ~pid:1 ~name:"read" ~args:[||] ~result:(-9L) ~ns:50L;
+  Wali.Strace.note t ~pid:1 ~name:"write" ~args:[||] ~result:1L ~ns:7L;
   (match Wali.Strace.info t "read" with
   | None -> Alcotest.fail "no info for read"
   | Some i ->

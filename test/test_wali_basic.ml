@@ -310,6 +310,20 @@ let test_argv_env () =
   Alcotest.(check string) "argv[1]" "world" out;
   Alcotest.(check int) "argc" (Kernel.Ktypes.wexit_status 2) status
 
+(* A module that exports only memory has no entry point: the initial
+   process traps with SIGILL status, whether run or recorded, instead of
+   an exception escaping the scheduler. *)
+let test_missing_start () =
+  let b = Builder.create ~name:"t" () in
+  ignore (Builder.add_memory b ~min:1 ~max:None);
+  Builder.export_memory b "memory" 0;
+  let binary = Binary.encode (Builder.build b) in
+  let sigill = Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigill in
+  let status, _, _ = run binary in
+  Alcotest.(check int) "run_program status" sigill status;
+  let r = Replay.Recorder.record ~binary ~argv:[ "test" ] ~env:[] () in
+  Alcotest.(check int) "record status" sigill r.Replay.Recorder.r_status
+
 let tests =
   [
     Alcotest.test_case "hello via SYS_write" `Quick test_hello;
@@ -323,4 +337,5 @@ let tests =
     Alcotest.test_case "ENOSYS passthrough stubs" `Quick test_enosys_stub;
     Alcotest.test_case "strace profile counts" `Quick test_strace_counts;
     Alcotest.test_case "argv/env transfer" `Quick test_argv_env;
+    Alcotest.test_case "module without _start traps" `Quick test_missing_start;
   ]
