@@ -220,9 +220,7 @@ let table2 () =
       let wali name args =
         ignore (Wali.Interface.dispatch eng name machine args)
       in
-      let meta n =
-        Option.value (Wali.Spec.find n) ~default:(List.hd Wali.Spec.implemented)
-      in
+      let meta n = Option.get (Wali.Interface.find n) in
       let report name (w : Perf.Stats.t) (d : Perf.Stats.t) =
         let m = meta name in
         let overhead = max 0.0 (w.Perf.Stats.s_min -. d.Perf.Stats.s_min) in
@@ -231,8 +229,8 @@ let table2 () =
           (name, Perf.Model.wall_v ~n:w.Perf.Stats.s_n ~mad:band overhead)
           :: !t2_metrics;
         Printf.printf "%-16s %9.0f ns %7.0f %6d %6s\n" name overhead band
-          m.Wali.Spec.loc
-          (if m.Wali.Spec.stateful then "Y" else "N")
+          m.Wali.Interface.loc
+          (if m.Wali.Interface.stateful then "Y" else "N")
       in
       let cases =
         [
@@ -306,8 +304,8 @@ let table2 () =
       t2_metrics := ("mmap", Perf.Model.wall st) :: !t2_metrics;
       let m = meta "mmap" in
       Printf.printf "%-16s %9.0f ns %7.0f %6d %6s   (mmap+munmap pair / 2)\n"
-        "mmap" st.Perf.Stats.s_min st.Perf.Stats.s_mad m.Wali.Spec.loc
-        (if m.Wali.Spec.stateful then "Y" else "N"));
+        "mmap" st.Perf.Stats.s_min st.Perf.Stats.s_mad m.Wali.Interface.loc
+        (if m.Wali.Interface.stateful then "Y" else "N"));
   (* clone / thread spawn: the engine-dominated outlier (paper: ~500us
      in WAMR due to execution-environment replication). Measured as the
      host-time delta between a 200-spawn run and an empty run. *)

@@ -1,5 +1,5 @@
 (** Import classification against the WALI naming convention of
-    {!Wali.Spec}: [("wali", "SYS_" ^ name)] virtual syscalls, the
+    {!Wali.Interface}: [("wali", "SYS_" ^ name)] virtual syscalls, the
     argv/env support methods and [thread_spawn] (paper §3.4), and the
     WASI preview1 surface an application imports when it runs layered
     over the sandboxed adapter (Fig 1/Fig 6).
@@ -17,10 +17,10 @@ let wasi_modules = [ "wasi_snapshot_preview1"; "wasi_unstable" ]
 
 let classify (imp : Wasm.Ast.import) : kind =
   let m = imp.Wasm.Ast.imp_module and n = imp.Wasm.Ast.imp_name in
-  if m = Wali.Spec.import_module then
+  if m = Wali.Interface.import_module then
     if String.length n > 4 && String.sub n 0 4 = "SYS_" then
       Syscall (String.sub n 4 (String.length n - 4))
-    else if n = "thread_spawn" || List.mem_assoc n Wali.Spec.env_methods then
+    else if n = "thread_spawn" || List.mem_assoc n Wali.Interface.env_methods then
       Env_helper n
     else Host_other (m, n)
   else if List.mem m wasi_modules then Wasi_call n
@@ -28,11 +28,11 @@ let classify (imp : Wasm.Ast.import) : kind =
 
 (** Is [name] resolvable by the engine at all (implemented handler or
     auto-generated ENOSYS stub)? Anything else fails at link time. *)
-let known_syscall name = Wali.Spec.find name <> None
+let known_syscall name = Wali.Interface.find name <> None
 
 let implemented_syscall name =
-  match Wali.Spec.find name with
-  | Some e -> e.Wali.Spec.implemented
+  match Wali.Interface.find name with
+  | Some e -> e.Wali.Interface.implemented
   | None -> false
 
 (** The classified function imports of a module, with their position in

@@ -405,8 +405,8 @@ let missing_feature (api : api) (a : app) : string option =
       pick
         (List.filter
            (fun s ->
-             match Wali.Spec.find s with
-             | Some e -> not e.Wali.Spec.implemented
+             match Wali.Interface.find s with
+             | Some e -> not e.Wali.Interface.implemented
              | None -> not (List.mem s ("thread_spawn" :: non_syscall_methods)))
            required)
   | Some set -> pick (List.filter (fun s -> not (List.mem s set)) required)

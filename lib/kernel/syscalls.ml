@@ -466,8 +466,9 @@ let utimensat ctx ~dirfd ~path ~atime_ns ~mtime_ns : unit Errno.result =
 let dup ctx ~fd : int Errno.result =
   count ctx;
   with_fd ctx fd (fun d ->
-      Fdtab.incref d;
-      noting ctx (Fdtab.install ctx.t.Task.fdtab d))
+      let r = Fdtab.install ctx.t.Task.fdtab d in
+      if Result.is_ok r then Fdtab.incref d;
+      noting ctx r)
 
 let dup3 ctx ~fd ~newfd ~cloexec : int Errno.result =
   count ctx;
@@ -487,10 +488,14 @@ let fcntl ctx ~fd ~cmd ~arg : int Errno.result =
   | Some e ->
       let d = e.Fdtab.e_desc in
       if cmd = f_dupfd || cmd = f_dupfd_cloexec then begin
-        Fdtab.incref d;
-        noting ctx
-          (Fdtab.install ~from:arg ~cloexec:(cmd = f_dupfd_cloexec)
-             ctx.t.Task.fdtab d)
+        let fdtab = ctx.t.Task.fdtab in
+        if arg < 0 || arg >= fdtab.Fdtab.max_fds then Error Errno.EINVAL
+        else begin
+          (* the new slot holds a reference only once it exists *)
+          let r = Fdtab.install ~from:arg ~cloexec:(cmd = f_dupfd_cloexec) fdtab d in
+          if Result.is_ok r then Fdtab.incref d;
+          noting ctx r
+        end
       end
       else if cmd = f_getfd then Ok (if e.Fdtab.e_cloexec then fd_cloexec else 0)
       else if cmd = f_setfd then begin

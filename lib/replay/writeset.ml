@@ -1,9 +1,10 @@
 (** The per-syscall write-set oracle: which guest-memory bytes may the
     kernel side of the thin interface write for a given call?
 
-    This is the recorder's static model of `Wali.Interface.dispatch_raw`
-    — for each syscall it enumerates the (addr, len) output regions from
-    the handler's ABI (stat buffers, iovecs, read targets, …), clamped to
+    This is the recorder's static model of the handlers in
+    `Wali.Interface.syscalls`, kept keyed by name as an oracle independent
+    of them — for each syscall it enumerates the (addr, len) output
+    regions from the handler's ABI (stat buffers, iovecs, read targets, …), clamped to
     the result where the ABI says so. Regions may over-approximate
     (e.g. `uname` records the whole 390-byte struct although only the
     six strings' prefixes change); over-approximation is harmless since

@@ -18,9 +18,8 @@ let nr_of_name (name : string) : int option =
     None table
 
 let name_of_nr (nr : int) : string option =
-  Array.fold_left
-    (fun acc (n, v) -> if v = nr then Some n else acc)
-    None table
+  let i = nr - 64 in
+  if i >= 0 && i < Array.length table then Some (fst table.(i)) else None
 
 (* Emulation-control calls (not Linux syscalls). *)
 let nr_get_argc = 6000

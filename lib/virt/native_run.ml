@@ -192,29 +192,14 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
   ignore (Fiber.spawn ("native-" ^ task.Task.comm) body);
   (kernel, fun () -> !result)
 
-(** One-shot convenience: boot kernel, run to completion. *)
+(** One-shot convenience: boot kernel, run to completion. [Fiber.run]
+    returns only once every fiber has finished, so the result is ready
+    when it does; a program that blocks forever ends in
+    [Fiber.Deadlock]. *)
 let run ?(argv = [ "prog" ]) ?(env = []) (c : Minic.Mc_native.compiled) : result =
-  let out = ref None in
-  let kout = ref "" in
-  Fiber.run (fun () ->
-      let kernel, get = start ~argv ~env c in
-      ignore
-        (Fiber.spawn "native-waiter" (fun () ->
-             (* runs after everything else drains; Fiber.run returns when
-                all fibers finish *)
-             ignore kernel));
-      ignore get;
-      (* capture at scheduler drain via a final closure *)
-      let rec finalize () =
-        match get () with
-        | Some r ->
-            out := Some r;
-            kout := Task.console_output kernel
-        | None ->
-            Fiber.yield ();
-            finalize ()
-      in
-      ignore (Fiber.spawn "native-finalize" finalize));
-  match !out with
-  | Some r -> { r with r_output = !kout }
+  let started = ref None in
+  Fiber.run (fun () -> started := Some (start ~argv ~env c));
+  let kernel, get = Option.get !started in
+  match get () with
+  | Some r -> { r with r_output = Task.console_output kernel }
   | None -> failwith "native run did not complete"

@@ -94,13 +94,9 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
                    (Printf.sprintf "rv-pid%d" child_task.Task.tid)
                    (fun () -> launch child_task crv))
           | Some name -> (
-              let arity =
-                match Wali.Spec.find name with
-                | Some e -> e.Wali.Spec.arity
-                | None -> 6
-              in
+              (* a handler reads only its own arity's worth of a0..a5 *)
               let vals =
-                Array.init arity (fun i -> Wasm.Values.I64 (Int64.of_int (arg i)))
+                Array.init 6 (fun i -> Wasm.Values.I64 (Int64.of_int (arg i)))
               in
               match Wali.Interface.dispatch eng name wmachine vals with
               | Wasm.Rt.H_return [ Wasm.Values.I64 r ] ->
@@ -153,21 +149,13 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
   ignore (Fiber.spawn "rv-init" (fun () -> launch task rv));
   (kernel, fun () -> !result)
 
+(** Boot a kernel and run [img] to completion. [Fiber.run] returns only
+    once every fiber has finished, so the result is ready when it does; a
+    guest that blocks forever ends in [Fiber.Deadlock]. *)
 let run ?(argv = [ "prog" ]) ?(env = []) (img : Minic.Mc_rv.rv_image) : result =
-  let out = ref None in
-  let kout = ref "" in
-  Fiber.run (fun () ->
-      let kernel, get = start ~argv ~env img in
-      let rec finalize () =
-        match get () with
-        | Some r ->
-            out := Some r;
-            kout := Task.console_output kernel
-        | None ->
-            Fiber.yield ();
-            finalize ()
-      in
-      ignore (Fiber.spawn "rv-finalize" finalize));
-  match !out with
-  | Some r -> { r with r_output = !kout }
+  let started = ref None in
+  Fiber.run (fun () -> started := Some (start ~argv ~env img));
+  let kernel, get = Option.get !started in
+  match get () with
+  | Some r -> { r with r_output = Task.console_output kernel }
   | None -> failwith "rv run did not complete"

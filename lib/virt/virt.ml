@@ -76,10 +76,9 @@ let run_native (p : prepared) : measurement =
 (* ---- docker ---- *)
 
 let run_docker (p : prepared) : measurement =
-  let out = ref None in
+  let started = ref None in
   let t0 = now () in
   let startup = ref 0L in
-  let base_mem = ref 0 in
   Fiber.run (fun () ->
       let kernel = Kernel.Task.boot () in
       (* docker run: create the container (materialize layers) first *)
@@ -92,7 +91,7 @@ let run_docker (p : prepared) : measurement =
           ]
       in
       let ct = Container.Runtime.create kernel ~name:p.p_workload.w_name img () in
-      base_mem := Container.Runtime.base_memory ct;
+      let base_mem = Container.Runtime.base_memory ct in
       startup := Int64.sub (now ()) t0;
       (* then execute the entrypoint natively inside it *)
       let _kernel2, get =
@@ -101,30 +100,20 @@ let run_docker (p : prepared) : measurement =
       (match Kernel.Task.find kernel 1 with
       | Some t -> Container.Runtime.enter ct t
       | None -> ());
-      let rec finalize () =
-        match get () with
-        | Some r ->
-            Container.Runtime.finish ct ~status:r.Native_run.r_status;
-            out :=
-              Some
-                ( r.Native_run.r_status,
-                  Kernel.Task.console_output kernel,
-                  r.Native_run.r_vm_peak )
-        | None ->
-            Fiber.yield ();
-            finalize ()
-      in
-      ignore (Fiber.spawn "docker-finalize" finalize));
+      started := Some (kernel, ct, base_mem, get));
   let t1 = now () in
-  match !out with
-  | Some (status, output, vm_peak) ->
+  (* Fiber.run returned, so every fiber (the entrypoint's too) is done *)
+  let kernel, ct, base_mem, get = Option.get !started in
+  match get () with
+  | Some r ->
+      Container.Runtime.finish ct ~status:r.Native_run.r_status;
       {
         m_method = M_docker;
         m_startup_ns = !startup;
         m_total_ns = Int64.sub t1 t0;
-        m_peak_mem = vm_peak + !base_mem;
-        m_status = status;
-        m_output = output;
+        m_peak_mem = r.Native_run.r_vm_peak + base_mem;
+        m_status = r.Native_run.r_status;
+        m_output = Kernel.Task.console_output kernel;
       }
   | None -> failwith "docker run did not complete"
 

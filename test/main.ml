@@ -6,6 +6,7 @@ let () =
       ("fiber", Test_fiber.tests);
       ("kernel", Test_kernel.tests);
       ("wali-basic", Test_wali_basic.tests);
+      ("boundary", Test_boundary.tests);
       ("minic", Test_minic.tests);
       ("backends", Test_backends.tests);
       ("apps", Test_apps.tests);

@@ -1,0 +1,185 @@
+(* The WALI boundary under hostile arguments: the one syscall table, a
+   table-driven sweep of adversarial arguments over every entry, one
+   regression test per host exception that used to escape, and the
+   native/RV32 runners ending a blocked guest in [Fiber.Deadlock]
+   instead of spinning. *)
+
+open Wali
+
+let errno e = Int64.of_int (-Kernel.Errno.to_code e)
+
+(* A string at this address names a symlink in every fresh kernel. *)
+let path_addr = 4096
+let link_path = "/tmp/link"
+
+(* Run [f] against a minimal process (one 64 KiB page of memory, stdio
+   on the console) in a fresh kernel, inside the scheduler. *)
+let with_proc f =
+  let out = ref None in
+  Fiber.run (fun () ->
+      let kernel = Kernel.Task.boot () in
+      let eng = Engine.create kernel in
+      let task = Kernel.Task.make_init kernel ~comm:"boundary" in
+      Engine.setup_stdio eng task;
+      let ctx = Kernel.Syscalls.make_ctx kernel task eng.Engine.futexes in
+      ignore
+        (Kernel.Syscalls.mkdirat ctx ~dirfd:Kernel.Syscalls.at_fdcwd ~path:"/tmp"
+           ~mode:0o777);
+      ignore
+        (Kernel.Syscalls.symlinkat ctx ~target:"/etc/target"
+           ~dirfd:Kernel.Syscalls.at_fdcwd ~path:link_path);
+      let mem = Wasm.Rt.Memory.create ~min_pages:1 ~max_pages:1 in
+      Wasm.Rt.Memory.write_string mem ~addr:path_addr (link_path ^ "\000");
+      let _, m = Virt.Native_run.make_proc eng task mem ~heap_base:32768 in
+      out := Some (f eng ctx m));
+  Option.get !out
+
+let i64s l = Array.of_list (List.map (fun v -> Wasm.Values.I64 v) l)
+
+let dispatch name args =
+  with_proc (fun eng _ m ->
+      match Interface.dispatch eng name m (i64s args) with
+      | Wasm.Rt.H_return [ Wasm.Values.I64 r ] -> r
+      | _ -> Alcotest.fail (name ^ ": not a plain return"))
+
+(* ---- the one table ---- *)
+
+let test_one_table () =
+  let names = List.map (fun (e : Interface.syscall) -> e.Interface.name) Interface.syscalls in
+  Alcotest.(check int) "implemented" 144 Interface.implemented_count;
+  Alcotest.(check int) "each name declared once" 144
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n ->
+      match Interface.find n with
+      | Some e -> Alcotest.(check bool) (n ^ " implemented") true e.Interface.implemented
+      | None -> Alcotest.fail (n ^ " not in the table"))
+    names;
+  Alcotest.(check int) "table = implemented + ENOSYS stubs" 231 Interface.total_count;
+  match Interface.find "epoll_create1" with
+  | Some e -> Alcotest.(check bool) "stub" false e.Interface.implemented
+  | None -> Alcotest.fail "epoll_create1 stub missing"
+
+(* ---- regressions: each escaped as a host exception before ---- *)
+
+let test_readlink_negative_bufsiz () =
+  let ptr = Int64.of_int path_addr and out = 8192L in
+  Alcotest.(check int64) "readlink" (errno Kernel.Errno.EINVAL)
+    (dispatch "readlink" [ ptr; out; -1L ]);
+  Alcotest.(check int64) "readlinkat" (errno Kernel.Errno.EINVAL)
+    (dispatch "readlinkat" [ -100L; ptr; out; -1L ]);
+  Alcotest.(check int64) "positive bufsiz still reads the link"
+    (Int64.of_int (String.length "/etc/target"))
+    (dispatch "readlink" [ ptr; out; 64L ])
+
+let test_fcntl_dupfd_negative () =
+  Alcotest.(check int64) "F_DUPFD from -1" (errno Kernel.Errno.EINVAL)
+    (dispatch "fcntl" [ 0L; Int64.of_int Kernel.Ktypes.f_dupfd; -1L ]);
+  (* a full table answers EMFILE without taking a reference *)
+  with_proc (fun eng ctx m ->
+      let fdtab = ctx.Kernel.Syscalls.t.Kernel.Task.fdtab in
+      let d = Option.get (Kernel.Fdtab.get fdtab 0) in
+      let refs = d.Kernel.Fdtab.d_refs in
+      fdtab.Kernel.Fdtab.max_fds <- 3;
+      let r =
+        Interface.dispatch eng "fcntl" m
+          (i64s [ 0L; Int64.of_int Kernel.Ktypes.f_dupfd; 0L ])
+      in
+      let emfile = Wasm.Rt.H_return [ Wasm.Values.I64 (errno Kernel.Errno.EMFILE) ] in
+      Alcotest.(check bool) "fcntl EMFILE" true (r = emfile);
+      Alcotest.(check bool) "dup EMFILE" true
+        (Interface.dispatch eng "dup" m (i64s [ 0L ]) = emfile);
+      Alcotest.(check int) "no leaked reference" refs d.Kernel.Fdtab.d_refs)
+
+let test_sendfile_size_t_count () =
+  let out =
+    with_proc (fun eng ctx m ->
+        let fd =
+          Result.get_ok
+            (Kernel.Syscalls.openat ctx ~dirfd:Kernel.Syscalls.at_fdcwd ~path:"/tmp/src"
+               ~flags:Kernel.Ktypes.(o_creat lor o_rdwr) ~mode:0o600)
+        in
+        let data = Bytes.of_string "hello" in
+        ignore (Kernel.Syscalls.write ctx ~fd ~buf:data ~off:0 ~len:5);
+        ignore (Kernel.Syscalls.lseek ctx ~fd ~offset:0 ~whence:0);
+        let r =
+          Interface.dispatch eng "sendfile" m (i64s [ 1L; Int64.of_int fd; 0L; -1L ])
+        in
+        (r, Kernel.Task.console_output ctx.Kernel.Syscalls.k))
+  in
+  Alcotest.(check bool) "count -1 copies the whole file" true
+    (fst out = Wasm.Rt.H_return [ Wasm.Values.I64 5L ]);
+  Alcotest.(check string) "to stdout" "hello" (snd out)
+
+(* ---- hostile arguments over every entry ---- *)
+
+let hostile =
+  [| 0L; -1L; 0xFFFFFFFFL; 0x7FFFFFFFL; 4096L; -100L; Int64.min_int; Int64.shift_left 1L 40 |]
+
+(* fork/vfork/clone/execve/exit/exit_group return engine outcomes; an
+   empty poll/select set with a huge finite timeout wakes every
+   [Syscalls.poll_tick_ns] of virtual time, so it would run ~10^10
+   scheduler rounds before timing out. *)
+let skipped =
+  [ "fork"; "vfork"; "clone"; "execve"; "exit"; "exit_group"; "poll"; "ppoll";
+    "select"; "pselect6" ]
+
+let test_hostile_arguments () =
+  let entries =
+    List.filter
+      (fun (e : Interface.syscall) -> not (List.mem e.Interface.name skipped))
+      Interface.syscalls
+  in
+  for seed = 1 to 30 do
+    let rng = Random.State.make [| seed |] in
+    List.iter
+      (fun (e : Interface.syscall) ->
+        let args =
+          List.init e.Interface.arity (fun _ ->
+              hostile.(Random.State.int rng (Array.length hostile)))
+        in
+        let call () =
+          with_proc (fun eng _ m ->
+              ignore (Interface.dispatch eng e.Interface.name m (i64s args)))
+        in
+        match call () with
+        | () | (exception Wasm.Values.Trap _)
+        | (exception Engine.Killed_by _)
+        | (exception Fiber.Deadlock _) ->
+            ()
+        | exception ex ->
+            Alcotest.failf "seed %d: %s(%s) escaped as %s" seed e.Interface.name
+              (String.concat ", " (List.map Int64.to_string args))
+              (Printexc.to_string ex))
+      entries
+  done
+
+(* ---- a blocked guest ends the run in Fiber.Deadlock ---- *)
+
+let paused = {| int main() { syscall("pause"); return 0; } |}
+
+let deadlocks name run =
+  match run () with
+  | () -> Alcotest.fail (name ^ ": a paused program finished")
+  | exception Fiber.Deadlock _ -> ()
+
+let test_native_deadlock () =
+  deadlocks "native" (fun () ->
+      ignore (Virt.Native_run.run (Minic.Mc_native.compile (Minic.parse_with_libc paused))))
+
+let test_rv_deadlock () =
+  deadlocks "rv32" (fun () ->
+      ignore (Virt.Rv_run.run (Minic.Mc_rv.compile (Minic.parse_with_libc paused))))
+
+let tests =
+  [
+    Alcotest.test_case "each syscall declared once" `Quick test_one_table;
+    Alcotest.test_case "readlink negative bufsiz is EINVAL" `Quick
+      test_readlink_negative_bufsiz;
+    Alcotest.test_case "fcntl F_DUPFD -1 is EINVAL; EMFILE takes no ref" `Quick
+      test_fcntl_dupfd_negative;
+    Alcotest.test_case "sendfile count is a size_t" `Quick test_sendfile_size_t_count;
+    Alcotest.test_case "hostile arguments never escape" `Quick test_hostile_arguments;
+    Alcotest.test_case "blocked native program deadlocks" `Quick test_native_deadlock;
+    Alcotest.test_case "blocked RV32 program deadlocks" `Quick test_rv_deadlock;
+  ]

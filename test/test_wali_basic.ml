@@ -116,7 +116,7 @@ let test_signal_handler () =
     in
     (* table slots 0/1 are reserved: they collide with SIG_DFL/SIG_IGN in
        the sigaction handler field, so the toolchain never places function
-       pointers there (documented in Spec). *)
+       pointers there. *)
     Builder.add_elem b ~table:0 ~offset:2 [ handler ];
     let start =
       Builder.func b ~name:"_start" ~params:[] ~results:[] ~locals:[ i64t ]
