@@ -195,16 +195,8 @@ let table2 () =
   Printf.printf "%-16s %12s %8s %6s %6s\n" "syscall" "overhead" "noise" "LOC"
     "state";
   let t2_metrics = ref [] in
-  Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
-      let eng = Wali.Engine.create kernel in
-      let task = Kernel.Task.make_init kernel ~comm:"bench" in
-      Wali.Engine.setup_stdio eng task;
-      let mem = Wasm.Rt.Memory.create ~min_pages:64 ~max_pages:512 in
-      let _, machine =
-        Virt.Native_run.make_proc eng task mem ~heap_base:(1 lsl 20)
-      in
-      let ctx = Kernel.Syscalls.make_ctx kernel task eng.Wali.Engine.futexes in
+  Virt.Guest.with_proc ~pages:64 ~heap_base:(1 lsl 20) (fun eng ctx machine ->
+      let mem = Wasm.Rt.memory0 machine in
       (match
          Kernel.Syscalls.openat ctx ~dirfd:Kernel.Syscalls.at_fdcwd
            ~path:"/tmp/bench.dat"
@@ -409,14 +401,7 @@ let fig7 () =
   header "Fig 7: runtime breakdown across the system stack (% of run)";
   (* calibrate the WALI marshalling layer cost with a null-ish syscall *)
   let layer_ns = ref 800.0 in
-  Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
-      let eng = Wali.Engine.create kernel in
-      let task = Kernel.Task.make_init kernel ~comm:"cal" in
-      Wali.Engine.setup_stdio eng task;
-      let mem = Wasm.Rt.Memory.create ~min_pages:16 ~max_pages:64 in
-      let _, machine = Virt.Native_run.make_proc eng task mem ~heap_base:(1 lsl 20) in
-      let ctx = Kernel.Syscalls.make_ctx kernel task eng.Wali.Engine.futexes in
+  Virt.Guest.with_proc ~pages:16 ~heap_base:(1 lsl 20) (fun eng ctx machine ->
       let w =
         time_per_call (fun () ->
             ignore (Wali.Interface.dispatch eng "getpid" machine [||]))

@@ -10,9 +10,10 @@
 
 open Wasm
 
-(* Raised out of the interpreter at a safepoint when a fatal signal or an
-   exit_group from a sibling thread terminates the task. Not a Wasm trap:
-   it deliberately unwinds the whole machine run. *)
+(* Raised out of a guest's run when a fatal signal or an exit_group from
+   a sibling thread terminates the task at a safepoint, and by the native
+   and RV32 backends when the guest exits. Not a Wasm trap: it
+   deliberately unwinds the whole machine run. *)
 exception Killed_by of int (* packed wait status *)
 
 type pshared = {
@@ -195,38 +196,56 @@ let handler_func (inst : Rt.instance) idx : Rt.func_inst option =
     | None -> None
     | exception Values.Trap _ -> None
 
-(** Run the registered Wasm handler for [signo] with the mask discipline:
-    block the signal itself (unless SA_NODEFER) plus sa_mask for the
-    duration — nested delivery therefore defers identical signals, the
-    stack-based structure of §3.3. A dangling handler function pointer is
-    treated as default Term. Also the entry point the replayer uses to
-    re-inject recorded deliveries. *)
-let run_signal_handler _eng (p : proc) (m : Rt.machine) ~(signo : int)
-    ~(action : Kernel.Ktypes.sigaction) : unit =
+(** How a backend runs a registered handler: call the guest function
+    [fnptr] with [signo] as its one argument on the interrupted machine
+    [m] and return when it does; [false] when [fnptr] names no function. *)
+type handler_call = Rt.machine -> fnptr:int -> signo:int -> bool
+
+(** The Wasm backend's [handler_call]: [fnptr] indexes table 0, and the
+    handler runs re-entrantly on the interrupted machine. *)
+let wasm_handler (m : Rt.machine) ~fnptr ~signo : bool =
+  match handler_func m.Rt.m_inst fnptr with
+  | None -> false
+  | Some f ->
+      (match Interp.call_nested m f [ Values.I32 (Int32.of_int signo) ] with
+      | Interp.R_done _ | Interp.R_exit _ -> ()
+      | Interp.R_trap msg -> Values.trap "trap in signal handler: %s" msg);
+      true
+
+(** Run the registered handler for [signo] through the backend's [call]
+    with the mask discipline: block the signal itself (unless SA_NODEFER)
+    plus sa_mask for the duration — nested delivery therefore defers
+    identical signals, the stack-based structure of §3.3. A dangling
+    handler function pointer is treated as default Term. Also the entry
+    point the replayer uses to re-inject recorded deliveries. *)
+let run_signal_handler (call : handler_call) (p : proc) (m : Rt.machine)
+    ~(signo : int) ~(action : Kernel.Ktypes.sigaction) : unit =
   let task = p.pr_task in
   let open Kernel.Ktypes in
-  match handler_func m.Rt.m_inst action.sa_handler with
-  | None ->
-      (* dangling function pointer: treat as default Term *)
-      raise (Killed_by (wsignal_status signo))
-  | Some f ->
-      let old_mask = task.Kernel.Task.sigmask in
-      let block =
-        if action.sa_flags land sa_nodefer <> 0 then action.sa_mask
-        else Sigset.add action.sa_mask signo
-      in
-      task.Kernel.Task.sigmask <- Sigset.union old_mask block;
-      let result = Interp.call_nested m f [ Values.I32 (Int32.of_int signo) ] in
-      task.Kernel.Task.sigmask <- old_mask;
-      (match result with
-      | Interp.R_done _ -> ()
-      | Interp.R_trap msg -> Values.trap "trap in signal handler: %s" msg
-      | Interp.R_exit _ -> () (* unreachable: exits raise *))
+  let old_mask = task.Kernel.Task.sigmask in
+  let block =
+    if action.sa_flags land sa_nodefer <> 0 then action.sa_mask
+    else Sigset.add action.sa_mask signo
+  in
+  task.Kernel.Task.sigmask <- Sigset.union old_mask block;
+  let found =
+    Fun.protect
+      ~finally:(fun () -> task.Kernel.Task.sigmask <- old_mask)
+      (fun () ->
+        (* a backend without Wasm's bounds checks faults like a trap *)
+        try call m ~fnptr:action.sa_handler ~signo
+        with Rt.Memory.Bounds ->
+          Values.trap "trap in signal handler: out of bounds memory access")
+  in
+  if not found then raise (Killed_by (wsignal_status signo))
 
-(** Deliver every currently-deliverable signal on machine [m]. Handlers
-    run re-entrantly on the interrupted machine (sig_poll in Fig 5);
-    default dispositions terminate via [Killed_by]. *)
-let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
+(** Deliver every currently-deliverable signal to process [p], running
+    handlers through the backend's [call] (sig_poll in Fig 5); default
+    dispositions terminate via [Killed_by]. The one place a signal's
+    disposition is decided: every backend calls it at its safepoints and
+    on every syscall return. *)
+let rec deliver_signals eng (p : proc) (m : Rt.machine) (call : handler_call)
+    : unit =
   let task = p.pr_task in
   (match task.Kernel.Task.group.Kernel.Task.exiting with
   | Some status -> raise (Killed_by status)
@@ -252,11 +271,11 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
             ks.Observe.Metrics.sig_delivered + 1
         in
         let pid = task.Kernel.Task.tgid and tid = task.Kernel.Task.tid in
-        if action.sa_handler = sig_ign then deliver_signals eng p m
+        if action.sa_handler = sig_ign then deliver_signals eng p m call
         else if action.sa_handler = sig_dfl then begin
           match default_disposition signo with
-          | Ign | Cont -> deliver_signals eng p m
-          | Stop -> deliver_signals eng p m (* job control simplified *)
+          | Ign | Cont -> deliver_signals eng p m call
+          | Stop -> deliver_signals eng p m call (* job control simplified *)
           | Term | Core ->
               let status = wsignal_status signo in
               observe (Some status);
@@ -280,10 +299,10 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
                 ~finally:(fun () ->
                   Observe.Sink.signal_end o ~pid ~tid ~signo
                     ~ts:(Fiber.now ()))
-                (fun () -> run_signal_handler eng p m ~signo ~action)
-          | None -> run_signal_handler eng p m ~signo ~action);
+                (fun () -> run_signal_handler call p m ~signo ~action)
+          | None -> run_signal_handler call p m ~signo ~action);
           (* more signals may have arrived meanwhile *)
-          deliver_signals eng p m
+          deliver_signals eng p m call
         end
   end
 
@@ -294,7 +313,7 @@ let poll_hook eng : Rt.machine -> unit =
   | None -> ());
   let p = proc_of eng m in
   (match eng.interpose with Some ip -> ip.ip_poll eng p m | None -> ());
-  deliver_signals eng p m
+  deliver_signals eng p m wasm_handler
 
 (** A fresh machine on [inst] for task [tid], with the safepoint hook
     and the profiler hook installed: every new process image and every
@@ -358,8 +377,9 @@ let heap_base_of (inst : Rt.instance) : int =
       | _ -> 1 lsl 20)
   | _ -> 1 lsl 20
 
-let make_pshared eng ~(inst : Rt.instance) ~argv ~env ~binary : pshared =
-  let heap_base = heap_base_of inst in
+(** A new process image's shared state: nothing mapped, the break at
+    [heap_base], and its argv/env. *)
+let new_pshared eng ~heap_base ~argv ~env ~binary : pshared =
   {
     ps_mmap = Mmap_mgr.create ~heap_base;
     ps_argv = Array.of_list argv;
@@ -368,6 +388,21 @@ let make_pshared eng ~(inst : Rt.instance) ~argv ~env ~binary : pshared =
     ps_brk = Mmap_mgr.align_up heap_base;
     ps_heap_base = heap_base;
     ps_binary = binary;
+  }
+
+let make_pshared eng ~(inst : Rt.instance) ~argv ~env ~binary : pshared =
+  new_pshared eng ~heap_base:(heap_base_of inst) ~argv ~env ~binary
+
+(** A fork child's copy of its parent's shared state, taken at the fork:
+    the same mappings and break over the cloned memory, in an address
+    space of its own. *)
+let fork_pshared eng (old : pshared) : pshared =
+  {
+    old with
+    ps_mmap = Mmap_mgr.clone old.ps_mmap;
+    ps_argv = Array.copy old.ps_argv;
+    ps_env = Array.copy old.ps_env;
+    ps_mem_id = fresh_mem_id eng;
   }
 
 (** Open the console on fds 0,1,2 of a task (for the initial process). *)
@@ -417,20 +452,19 @@ let do_exit eng (p : proc) ~(status : int) : unit =
   | None -> ());
   Hashtbl.remove eng.procs task.Task.tid
 
-(** The body that every process/thread fiber runs. Wasm traps terminate
-    the process like fatal signals (SIGILL-style status), which is how
-    e.g. call_indirect signature violations surface. *)
-let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
-    ~(entry : Rt.func_inst option) ~(args : Values.value list) : unit =
+(** The one end of a guest's run, whatever the backend: [body] runs the
+    guest to its result, and its exit, fatal signal or fault becomes a
+    packed wait status for {!do_exit}. An exit or fatal signal raised as
+    [Killed_by] carries its status; a guest fault — a Wasm trap, or an
+    out-of-bounds access in a backend without Wasm's checks — ends the
+    process like a fatal signal (SIGILL-style status), which is how e.g.
+    call_indirect signature violations surface. *)
+let run_guest eng (p : proc) (body : unit -> Interp.run_result) : unit =
   let outcome =
-    try
-      `Result
-        (if fresh_entry then
-           match entry with
-           | Some f -> Interp.invoke m f args
-           | None -> Interp.R_trap "no entry function"
-         else Interp.resume m ~results:0)
-    with Killed_by status -> `Killed status
+    try `Result (body ()) with
+    | Killed_by status -> `Killed status
+    | Values.Trap msg -> `Result (Interp.R_trap msg)
+    | Rt.Memory.Bounds -> `Result (Interp.R_trap "out of bounds memory access")
   in
   match outcome with
   | `Killed status ->
@@ -449,6 +483,16 @@ let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
         | Interp.R_trap _ -> wsignal_status Kernel.Ktypes.sigill
       in
       do_exit eng p ~status
+
+(** The body that every Wasm process/thread fiber runs. *)
+let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
+    ~(entry : Rt.func_inst option) ~(args : Values.value list) : unit =
+  run_guest eng p (fun () ->
+      if fresh_entry then
+        match entry with
+        | Some f -> Interp.invoke m f args
+        | None -> Interp.R_trap "no entry function"
+      else Interp.resume m ~results:0)
 
 (** Result of the last finished process with pid [tid], if tracked. *)
 let result_of (p : proc) = p.pr_result

@@ -43,16 +43,7 @@ let do_fork eng (p : Engine.proc) (child_m : Rt.machine) : int64 =
     Task.clone_task eng.Engine.kernel p.Engine.pr_task ~thread:false
       ~share_files:false
   in
-  let old = p.Engine.pr_shared in
-  let shared =
-    {
-      old with
-      Engine.ps_mmap = Mmap_mgr.clone old.Engine.ps_mmap;
-      ps_argv = Array.copy old.Engine.ps_argv;
-      ps_env = Array.copy old.Engine.ps_env;
-      ps_mem_id = Engine.fresh_mem_id eng;
-    }
-  in
+  let shared = Engine.fork_pshared eng p.Engine.pr_shared in
   child_m.Rt.m_pid <- child_task.Task.tid;
   let cp = Engine.add_proc eng child_task ~shared ~machine:child_m in
   (* Instruction accounting: the child machine clones the parent's step
@@ -895,13 +886,26 @@ let call (e : syscall) eng p m args : Rt.host_outcome =
   with Abi.Efault | Rt.Memory.Bounds ->
     Rt.H_return [ Values.I64 (errno_ret Errno.EFAULT) ]
 
+(* Linux delivers pending signals on return to userspace from any
+   syscall: run the machine's poll hook before handing a result back
+   (complements the safepoints of §3.3). *)
+let poll_on_return (m : Rt.machine) (outcome : Rt.host_outcome) =
+  match (outcome, m.Rt.poll_hook) with
+  | Rt.H_return _, Some f -> f m
+  | _ -> ()
+
 (** Serve one syscall by name for machine [m] with no seccomp check,
     tracing or interposition (the native and RV32 backends call this
-    directly). *)
+    directly); pending signals are delivered on return, as on every
+    crossing. *)
 let dispatch eng name m args : Rt.host_outcome =
-  match find name with
-  | Some e -> call e eng (Engine.proc_of eng m) m args
-  | None -> Rt.H_return [ Values.I64 (errno_ret Errno.ENOSYS) ]
+  let outcome =
+    match find name with
+    | Some e -> call e eng (Engine.proc_of eng m) m args
+    | None -> Rt.H_return [ Values.I64 (errno_ret Errno.ENOSYS) ]
+  in
+  poll_on_return m outcome;
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Host function construction / resolver                                *)
@@ -939,15 +943,9 @@ let traced_dispatch eng (e : syscall) (m : Rt.machine) (args : Values.value arra
       Observe.Sink.syscall_end o ~pid ~tid ~name ~ts:t1 ~ns ~result
         ~stack:(fun () -> Engine.machine_stack m)
   | None -> ());
-  (* Linux delivers pending signals on return to userspace from any
-     syscall; mirror that by polling before handing the result back
-     (complements the compiler-inserted safepoints of §3.3). Polling
-     after the span closes keeps the trace well-nested even when a
-     delivery terminates the process. *)
-  (match outcome with
-  | Rt.H_return _ -> (
-      match m.Rt.poll_hook with Some f -> f m | None -> ())
-  | _ -> ());
+  (* polling after the span closes keeps the trace well-nested even when
+     a delivery terminates the process *)
+  poll_on_return m outcome;
   outcome
 
 let i64s n = List.init n (fun _ -> Types.T_i64)
@@ -960,46 +958,45 @@ let syscall_host_func eng (e : syscall) : Rt.func_inst =
       hf_fn = (fun m args -> traced_dispatch eng e m args);
     }
 
-(* argv/env support methods (§3.4): ownership of the vectors stays in the
-   application sandbox; the engine only answers sizes and copies one
-   element at a time. *)
-let env_host_func eng (name : string) (arity : int) : Rt.func_inst =
-  let fn (m : Rt.machine) (args : Values.value array) : Rt.host_outcome =
-    let p = Engine.proc_of eng m in
-    let sh = p.Engine.pr_shared in
-    let mem = Rt.memory0 m in
-    let arg i = Int32.to_int (Values.as_i32 args.(i)) in
-    let vec =
-      match name with
-      | "get_envc" | "get_env_len" | "copy_env" -> sh.Engine.ps_env
-      | _ -> sh.Engine.ps_argv
-    in
-    let r =
-      match name with
-      | "get_argc" | "get_envc" -> Array.length vec
-      | "get_argv_len" | "get_env_len" ->
-          let i = arg 0 in
-          if i < 0 || i >= Array.length vec then -1
-          else String.length vec.(i) + 1
-      | "copy_argv" | "copy_env" ->
-          let b = arg 0 and i = arg 1 in
-          if i < 0 || i >= Array.length vec then -1
-          else begin
-            (try Abi.write_cstring mem b vec.(i)
-             with Abi.Efault -> ());
-            String.length vec.(i) + 1
-          end
-      | _ -> -1
-    in
-    Rt.H_return [ Values.I32 (Int32.of_int r) ]
+(** The argv/env support methods (§3.4) for every backend: the Wasm
+    imports, the native [h_builtin] and the RV32 builtin ecalls all land
+    here. Ownership of the vectors stays in the application sandbox; the
+    engine only answers sizes and copies one element at a time. [name] is
+    one of {!env_methods} and [a] its arguments. A bad index or an
+    unwritable buffer answers -1. *)
+let env_method (p : Engine.proc) mem name (a : int array) : int =
+  let sh = p.Engine.pr_shared in
+  let vec =
+    match name with
+    | "get_envc" | "get_env_len" | "copy_env" -> sh.Engine.ps_env
+    | _ -> sh.Engine.ps_argv
   in
+  let valid i = i >= 0 && i < Array.length vec in
+  match name with
+  | "get_argc" | "get_envc" -> Array.length vec
+  | "get_argv_len" | "get_env_len" ->
+      if valid a.(0) then String.length vec.(a.(0)) + 1 else -1
+  | "copy_argv" | "copy_env" -> (
+      let i = a.(1) in
+      if not (valid i) then -1
+      else
+        match Abi.write_cstring mem a.(0) vec.(i) with
+        | () -> String.length vec.(i) + 1
+        | exception Abi.Efault -> -1)
+  | _ -> -1
+
+let env_host_func eng (name : string) (arity : int) : Rt.func_inst =
   Rt.Host_func
     {
       hf_name = name;
       hf_type =
         { Types.params = List.init arity (fun _ -> Types.T_i32);
           results = [ Types.T_i32 ] };
-      hf_fn = fn;
+      hf_fn =
+        (fun m args ->
+          let a = Array.map (fun v -> Int32.to_int (Values.as_i32 v)) args in
+          let r = env_method (Engine.proc_of eng m) (Rt.memory0 m) name a in
+          Rt.H_return [ Values.I32 (Int32.of_int r) ]);
     }
 
 let thread_spawn_host_func eng : Rt.func_inst =

@@ -24,7 +24,6 @@ type st = {
   mem : Wasm.Rt.Memory.t;
   hooks : hooks;
   funcs : (st -> int array -> int) array;
-  mutable steps : int; (* loop-iteration counter, for metrics *)
 }
 
 exception Ret of int
@@ -142,7 +141,7 @@ let rec cexpr ctx fc (e : expr) : st -> int array -> int =
         let a = Array.map (fun c -> c st l) cargs in
         (match resolve slot with
         | Some fi -> st.funcs.(fi) st a
-        | None -> error "calli: bad function pointer %d" slot)
+        | None -> Wasm.Values.trap "calli: bad function pointer %d" slot)
   | EBuiltin (b, args) ->
       let cargs = Array.of_list (List.map (cexpr ctx fc) args) in
       fun st l -> st.hooks.h_builtin b (Array.map (fun c -> c st l) cargs)
@@ -193,10 +192,12 @@ and cbinop ctx fc op a b =
         | Mul -> fun x y -> wrap (x * y)
         | Div ->
             fun x y ->
-              if y = 0 then error "native: division by zero" else wrap (x / y)
+              if y = 0 then Wasm.Values.trap "integer divide by zero"
+              else wrap (x / y)
         | Mod ->
             fun x y ->
-              if y = 0 then error "native: division by zero" else wrap (x mod y)
+              if y = 0 then Wasm.Values.trap "integer divide by zero"
+              else wrap (x mod y)
         | Shl -> fun x y -> wrap (x lsl (y land 31))
         | Shr -> fun x y -> wrap (x asr (y land 31))
         | Band -> fun x y -> x land y
@@ -281,7 +282,6 @@ let rec cstmt ctx fc (s : stmt) : st -> int array -> unit =
         (try
            while cc st l <> 0 do
              st.hooks.h_poll ();
-             st.steps <- st.steps + 1;
              try cb st l with Cnt -> ()
            done
          with Brk -> ())
@@ -295,7 +295,6 @@ let rec cstmt ctx fc (s : stmt) : st -> int array -> unit =
         (try
            while (match cc with Some c -> c st l <> 0 | None -> true) do
              st.hooks.h_poll ();
-             st.steps <- st.steps + 1;
              (try cb st l with Cnt -> ());
              match cs with Some c -> ignore (c st l) | None -> ()
            done
@@ -414,19 +413,17 @@ let compile (p : program) : compiled =
     by name. Used by the native runner. *)
 let make_state (c : compiled) ~(mem : Wasm.Rt.Memory.t) ~(hooks : hooks) : st =
   Wasm.Rt.Memory.write_string mem ~addr:0 c.nc_mem_image;
-  { mem; hooks; funcs = c.nc_funcs; steps = 0 }
+  { mem; hooks; funcs = c.nc_funcs }
 
 let call (c : compiled) (st : st) (name : string) (args : int array) : int =
   match Hashtbl.find_opt c.nc_func_idx name with
   | Some i -> c.nc_funcs.(i) st args
   | None -> error "native: no function %s" name
 
-let call_slot (c : compiled) (st : st) (slot : int) (args : int array) : int =
-  let f =
-    Hashtbl.fold
-      (fun name s acc -> if s = slot then Some name else acc)
-      c.nc_table_idx None
-  in
-  match f with
-  | Some name -> call c st name args
-  | None -> error "native: bad function pointer %d" slot
+(** The function a function pointer names, if any (signal handlers). *)
+let func_of_slot (c : compiled) (slot : int) : (st -> int array -> int) option =
+  Hashtbl.fold
+    (fun name s acc ->
+      if s = slot then Some c.nc_funcs.(Hashtbl.find c.nc_func_idx name)
+      else acc)
+    c.nc_table_idx None

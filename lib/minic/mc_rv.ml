@@ -124,8 +124,7 @@ let rec cexpr ctx fc (e : expr) : unit =
       | Some nr -> emit ctx (Li (a7, nr))
       | None -> error "no RV syscall number for %s" name);
       emit ctx Ecall
-  | EBuiltin (("memcopy" | "memfill" | "argc" | "argv_len" | "argv_copy"
-              | "envc" | "env_len" | "env_copy") as b, args) ->
+  | EBuiltin (b, args) when List.mem_assoc b Riscv.Rv_linux.builtins ->
       List.iter
         (fun a ->
           cexpr ctx fc a;
@@ -135,7 +134,7 @@ let rec cexpr ctx fc (e : expr) : unit =
       for i = n - 1 downto 0 do
         pop_to ctx (a0 + i)
       done;
-      emit ctx (Li (a7, Riscv.Rv_linux.builtin_nr b));
+      emit ctx (Li (a7, List.assoc b Riscv.Rv_linux.builtins));
       emit ctx Ecall
   | EBuiltin ("calli", target :: args) ->
       cexpr ctx fc target;

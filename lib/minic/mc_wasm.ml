@@ -114,6 +114,18 @@ let lookup_var ctx fc n : ty =
 
 let ty_of ctx fc e = Mc_check.ty_of (lookup_var ctx fc) ctx.env e
 
+(** The WALI import a builtin lowers to — also the name under which the
+    native and RV32 backends ask {!Wali.Interface.env_method}. *)
+let builtin_import_name = function
+  | "argc" -> "get_argc"
+  | "argv_len" -> "get_argv_len"
+  | "argv_copy" -> "copy_argv"
+  | "envc" -> "get_envc"
+  | "env_len" -> "get_env_len"
+  | "env_copy" -> "copy_env"
+  | "thread_spawn" -> "thread_spawn"
+  | b -> error "unknown builtin import %s" b
+
 let rec compile_expr ctx fc (e : expr) : instr list =
   match e with
   | EInt n -> [ I32_const (Int32.of_int n) ]
@@ -398,16 +410,6 @@ let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
       in
       Hashtbl.replace ctx.syscall_imports name idx)
     syscalls;
-  let builtin_import_name = function
-    | "argc" -> "get_argc"
-    | "argv_len" -> "get_argv_len"
-    | "argv_copy" -> "copy_argv"
-    | "envc" -> "get_envc"
-    | "env_len" -> "get_env_len"
-    | "env_copy" -> "copy_env"
-    | "thread_spawn" -> "thread_spawn"
-    | b -> error "unknown builtin import %s" b
-  in
   Hashtbl.iter
     (fun name arity ->
       let idx =

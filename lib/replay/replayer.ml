@@ -246,7 +246,7 @@ let rec inject_signals st eng (p : Engine.proc) (m : Rt.machine) =
                          signo)
                     ~actual:"no handler registered at this point on replay"
                 else begin
-                  Engine.run_signal_handler eng p m ~signo ~action;
+                  Engine.run_signal_handler Engine.wasm_handler p m ~signo ~action;
                   (* further deliveries may be recorded at this same
                      safepoint (or the handler's own polls advanced c) *)
                   inject_signals st eng p m

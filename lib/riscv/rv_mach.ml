@@ -4,26 +4,29 @@
 
     Memory is a {!Wasm.Rt.Memory.t} so the syscall marshalling layer can
     be shared with the other engines. Registers are OCaml ints holding
-    sign-extended 32-bit values. *)
+    sign-extended 32-bit values. A guest fault raises {!Wasm.Values.Trap},
+    so it ends the process the way a Wasm trap does. *)
 
 type t = {
   regs : int array; (* x0..x31 *)
   mutable pc : int;
   mem : Wasm.Rt.Memory.t;
-  mutable steps : int64;
   mutable halted : bool;
 }
 
-exception Rv_trap of string
+let trap = Wasm.Values.trap
 
-let trap fmt = Printf.ksprintf (fun s -> raise (Rv_trap s)) fmt
+(* Returning to this address ends a [run]: it lies outside guest memory
+   and is even, so no other control transfer reaches it. *)
+let return_pc = -4
 
 let wrap v = (v land 0xFFFFFFFF) - (if v land 0x80000000 <> 0 then 0x100000000 else 0)
 let to_u v = v land 0xFFFFFFFF
 
 let create ~(mem : Wasm.Rt.Memory.t) ~(entry : int) ~(sp_init : int) : t =
-  let m = { regs = Array.make 32 0; pc = entry; mem; steps = 0L; halted = false } in
+  let m = { regs = Array.make 32 0; pc = entry; mem; halted = false } in
   m.regs.(Rv_asm.sp) <- sp_init;
+  m.regs.(Rv_asm.ra) <- return_pc;
   m
 
 let get m r = if r = 0 then 0 else m.regs.(r)
@@ -41,7 +44,6 @@ let step (m : t) ~(ecall : t -> unit) : unit =
     try Int32.to_int (Wasm.Rt.Memory.load32 m.mem m.pc) land 0xFFFFFFFF
     with Wasm.Rt.Memory.Bounds -> trap "instruction fetch fault at 0x%x" m.pc
   in
-  m.steps <- Int64.add m.steps 1L;
   let opcode = w land 0x7f in
   let rd = (w lsr 7) land 0x1f in
   let funct3 = (w lsr 12) land 0x7 in
@@ -166,13 +168,27 @@ let step (m : t) ~(ecall : t -> unit) : unit =
   | op -> trap "illegal instruction 0x%08x (opcode 0x%02x) at pc 0x%x" w op m.pc);
   m.pc <- m.pc + 4
 
-(** Run until halted or [max_steps]; calls [poll] every [poll_interval]
-    instructions (safepoints for the scheduler / signals). *)
-let run (m : t) ~(ecall : t -> unit) ?(poll = fun () -> ())
-    ?(poll_interval = 4096) () : unit =
+let poll_interval = 4096
+
+(** Run until halted or until control returns to {!return_pc}; calls
+    [poll] every [poll_interval] instructions (safepoints for the
+    scheduler / signals). *)
+let run (m : t) ~(ecall : t -> unit) ~(poll : unit -> unit) : unit =
   let count = ref 0 in
-  while not m.halted do
+  while (not m.halted) && m.pc <> return_pc do
     step m ~ecall;
     incr count;
     if !count land (poll_interval - 1) = 0 then poll ()
   done
+
+(** Call the guest function at [entry] with [arg] in a0 on an interrupted
+    machine — a signal handler's nested run — then restore the registers
+    and pc it was interrupted at. *)
+let call_nested (m : t) ~ecall ~poll ~(entry : int) ~(arg : int) : unit =
+  let regs = Array.copy m.regs and pc = m.pc in
+  set m Rv_asm.a0 arg;
+  set m Rv_asm.ra return_pc;
+  m.pc <- entry;
+  run m ~ecall ~poll;
+  Array.blit regs 0 m.regs 0 32;
+  m.pc <- pc

@@ -11,6 +11,7 @@
     using the host monotonic clock for times and engine accounting for
     memory. *)
 
+module Guest = Guest
 module Native_run = Native_run
 module Rv_run = Rv_run
 
@@ -68,54 +69,45 @@ let run_native (p : prepared) : measurement =
     m_method = M_native;
     m_startup_ns = 0L;
     m_total_ns = Int64.sub t1 t0;
-    m_peak_mem = r.Native_run.r_vm_peak + 262144 (* resident image+stack *);
-    m_status = r.Native_run.r_status;
-    m_output = r.Native_run.r_output;
+    m_peak_mem = r.Guest.r_vm_peak + 262144 (* resident image+stack *);
+    m_status = r.Guest.r_status;
+    m_output = r.Guest.r_output;
   }
 
 (* ---- docker ---- *)
 
 let run_docker (p : prepared) : measurement =
-  let started = ref None in
   let t0 = now () in
-  let startup = ref 0L in
-  Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
-      (* docker run: create the container (materialize layers) first *)
-      let img =
-        Container.Image.image p.p_workload.w_name
-          [
-            Container.Image.base_rootfs ();
-            Container.Image.app_layer ~name:p.p_workload.w_name
-              ~binary:(String.make 200_000 'b') ();
-          ]
-      in
-      let ct = Container.Runtime.create kernel ~name:p.p_workload.w_name img () in
-      let base_mem = Container.Runtime.base_memory ct in
-      startup := Int64.sub (now ()) t0;
-      (* then execute the entrypoint natively inside it *)
-      let _kernel2, get =
-        Native_run.start ~kernel ~argv:p.p_workload.w_argv p.p_native
-      in
-      (match Kernel.Task.find kernel 1 with
-      | Some t -> Container.Runtime.enter ct t
-      | None -> ());
-      started := Some (kernel, ct, base_mem, get));
+  let kernel = Kernel.Task.boot () in
+  (* docker run: create the container (materialize layers) first *)
+  let img =
+    Container.Image.image p.p_workload.w_name
+      [
+        Container.Image.base_rootfs ();
+        Container.Image.app_layer ~name:p.p_workload.w_name
+          ~binary:(String.make 200_000 'b') ();
+      ]
+  in
+  let ct = Container.Runtime.create kernel ~name:p.p_workload.w_name img () in
+  let base_mem = Container.Runtime.base_memory ct in
+  let startup = Int64.sub (now ()) t0 in
+  (* then execute the entrypoint natively inside it *)
+  let argv = p.p_workload.w_argv in
+  let r =
+    Guest.run kernel ~comm:(List.hd argv) (fun eng task ->
+        Container.Runtime.enter ct task;
+        Native_run.launch p.p_native ~argv ~env:[] eng task)
+  in
   let t1 = now () in
-  (* Fiber.run returned, so every fiber (the entrypoint's too) is done *)
-  let kernel, ct, base_mem, get = Option.get !started in
-  match get () with
-  | Some r ->
-      Container.Runtime.finish ct ~status:r.Native_run.r_status;
-      {
-        m_method = M_docker;
-        m_startup_ns = !startup;
-        m_total_ns = Int64.sub t1 t0;
-        m_peak_mem = r.Native_run.r_vm_peak + base_mem;
-        m_status = r.Native_run.r_status;
-        m_output = Kernel.Task.console_output kernel;
-      }
-  | None -> failwith "docker run did not complete"
+  Container.Runtime.finish ct ~status:r.Guest.r_status;
+  {
+    m_method = M_docker;
+    m_startup_ns = startup;
+    m_total_ns = Int64.sub t1 t0;
+    m_peak_mem = r.Guest.r_vm_peak + base_mem;
+    m_status = r.Guest.r_status;
+    m_output = r.Guest.r_output;
+  }
 
 (* ---- qemu ---- *)
 
@@ -132,10 +124,10 @@ let run_qemu (p : prepared) : measurement =
     m_startup_ns = startup;
     m_total_ns = Int64.sub t1 t0;
     m_peak_mem =
-      r.Rv_run.r_vm_peak + (Rv_run.mem_pages * Wasm.Types.page_size / 8)
+      r.Guest.r_vm_peak + (Rv_run.mem_pages * Wasm.Types.page_size / 8)
       (* guest pages touched + emulator structures, lazily allocated *);
-    m_status = r.Rv_run.r_status;
-    m_output = r.Rv_run.r_output;
+    m_status = r.Guest.r_status;
+    m_output = r.Guest.r_output;
   }
 
 (* ---- wali ---- *)

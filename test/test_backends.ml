@@ -10,23 +10,25 @@ let run_wasm ?(argv = [ "prog" ]) src =
 let run_native ?(argv = [ "prog" ]) src =
   let c = Minic.Mc_native.compile (Minic.parse_with_libc src) in
   let r = Virt.Native_run.run ~argv c in
-  (r.Virt.Native_run.r_status, r.Virt.Native_run.r_output)
+  (r.Virt.Guest.r_status, r.Virt.Guest.r_output)
 
 let run_rv ?(argv = [ "prog" ]) src =
   let img = Minic.Mc_rv.compile (Minic.parse_with_libc src) in
   let r = Virt.Rv_run.run ~argv img in
-  (r.Virt.Rv_run.r_status, r.Virt.Rv_run.r_output)
+  (r.Virt.Guest.r_status, r.Virt.Guest.r_output)
 
-let check_all ?argv src expected =
+(* Wasm prints [expected] and ends with packed [status]; native and RV32
+   give exactly the status and output Wasm gives. *)
+let check_all ?argv ?(status = 0) src expected =
   let sw, ow = run_wasm ?argv src in
   Alcotest.(check string) "wasm out" expected ow;
-  Alcotest.(check int) "wasm status" 0 sw;
-  let sn, on = run_native ?argv src in
-  Alcotest.(check string) "native out" expected on;
-  Alcotest.(check int) "native status" 0 sn;
-  let sr, orv = run_rv ?argv src in
-  Alcotest.(check string) "rv out" expected orv;
-  Alcotest.(check int) "rv status" 0 sr
+  Alcotest.(check int) "wasm status" status sw;
+  List.iter
+    (fun (name, run) ->
+      let s, o = run ?argv src in
+      Alcotest.(check string) (name ^ " out = wasm") ow o;
+      Alcotest.(check int) (name ^ " status = wasm") sw s)
+    [ ("native", run_native); ("rv", run_rv) ]
 
 let test_compute () =
   check_all
@@ -147,6 +149,31 @@ let test_rv_fork () =
   Alcotest.(check string) "rv fork" "child\nparent\n" out;
   Alcotest.(check int) "status" 0 status
 
+let test_rv_fork_heap () =
+  (* the child's first mapping must not land on the parent's live heap *)
+  let src =
+    {|
+      int st[1];
+      int main() {
+        char *a = malloc(100000);
+        strcpy(a, "parent heap");
+        int pid = fork();
+        if (pid == 0) {
+          char *b = malloc(100000);
+          strcpy(b, "child heap");
+          println(a);
+          exit(0);
+        }
+        waitpid(pid, st, 0);
+        println(a);
+        return 0;
+      }
+    |}
+  in
+  let expected = (0, "parent heap\nparent heap\n") in
+  Alcotest.(check (pair int string)) "wasm" expected (run_wasm src);
+  Alcotest.(check (pair int string)) "rv" expected (run_rv src)
+
 let test_wrapping_arithmetic () =
   (* i32 overflow behaves identically everywhere *)
   check_all
@@ -163,6 +190,78 @@ let test_wrapping_arithmetic () =
     |}
     "-2147483648\n689956897\n"
 
+(* ---- one guest lifecycle: signals, exit, faults, argv/env ---- *)
+
+let test_sigterm_self_kill () =
+  (* default action on return from kill: nothing runs after it *)
+  check_all ~status:(Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigterm)
+    {|
+      int main() {
+        print("before\n");
+        kill(getpid(), 15);
+        print("after\n");
+        return 0;
+      }
+    |}
+    "before\n"
+
+let test_sigusr1_handler () =
+  check_all
+    {|
+      int on_usr1(int s) { printi(s); printc('\n'); return 0; }
+      int main() {
+        signal(10, fnptr(on_usr1));
+        kill(getpid(), 10);
+        return 0;
+      }
+    |}
+    "10\n"
+
+let test_handler_keeps_state () =
+  (* three deliveries on syscall return, each amid live locals *)
+  check_all
+    {|
+      int count;
+      int on_usr1(int s) { count = count + s; return 0; }
+      int main() {
+        signal(10, fnptr(on_usr1));
+        int a = 7;
+        int b = 11;
+        for (int i = 0; i < 3; i = i + 1) { a = a + kill(getpid(), 10); b = b * 2; }
+        printi(a); printc(' '); printi(b); printc(' '); printi(count); printc('\n');
+        return 0;
+      }
+    |}
+    "7 88 30\n"
+
+let test_exit_code () =
+  check_all ~status:(Kernel.Ktypes.wexit_status 7)
+    {|
+      int main() { print("x\n"); exit(7); print("y\n"); return 0; }
+    |}
+    "x\n"
+
+let test_out_of_bounds_load () =
+  check_all ~status:(Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigill)
+    {|
+      int main() {
+        char *p = (char*)2147483000;
+        printi(p[100000]);
+        return 0;
+      }
+    |}
+    ""
+
+let test_argv_copy_bad_pointer () =
+  check_all
+    {|
+      int main() {
+        printi(argv_copy((char*)2147483647, 0)); printc('\n');
+        return 0;
+      }
+    |}
+    "-1\n"
+
 let tests =
   [
     Alcotest.test_case "compute kernels agree" `Quick test_compute;
@@ -172,5 +271,15 @@ let tests =
     Alcotest.test_case "memcpy/memset agree" `Quick test_memops;
     Alcotest.test_case "calli agrees" `Quick test_calli_across_backends;
     Alcotest.test_case "fork under RV emulation" `Quick test_rv_fork;
+    Alcotest.test_case "RV fork child keeps the parent's heap" `Quick
+      test_rv_fork_heap;
     Alcotest.test_case "i32 wrapping agrees" `Quick test_wrapping_arithmetic;
+    Alcotest.test_case "SIGTERM self-kill agrees" `Quick test_sigterm_self_kill;
+    Alcotest.test_case "SIGUSR1 handler agrees" `Quick test_sigusr1_handler;
+    Alcotest.test_case "handlers keep the interrupted state" `Quick
+      test_handler_keeps_state;
+    Alcotest.test_case "exit(7) agrees" `Quick test_exit_code;
+    Alcotest.test_case "out-of-bounds load agrees" `Quick test_out_of_bounds_load;
+    Alcotest.test_case "argv_copy to a bad pointer agrees" `Quick
+      test_argv_copy_bad_pointer;
   ]

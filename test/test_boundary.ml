@@ -1,8 +1,9 @@
 (* The WALI boundary under hostile arguments: the one syscall table, a
    table-driven sweep of adversarial arguments over every entry, one
-   regression test per host exception that used to escape, and the
+   regression test per host exception that used to escape, the
    native/RV32 runners ending a blocked guest in [Fiber.Deadlock]
-   instead of spinning. *)
+   instead of spinning, and native/RV32 guest faults ending in the
+   status of a Wasm trap. *)
 
 open Wali
 
@@ -15,24 +16,16 @@ let link_path = "/tmp/link"
 (* Run [f] against a minimal process (one 64 KiB page of memory, stdio
    on the console) in a fresh kernel, inside the scheduler. *)
 let with_proc f =
-  let out = ref None in
-  Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
-      let eng = Engine.create kernel in
-      let task = Kernel.Task.make_init kernel ~comm:"boundary" in
-      Engine.setup_stdio eng task;
-      let ctx = Kernel.Syscalls.make_ctx kernel task eng.Engine.futexes in
+  Virt.Guest.with_proc ~pages:1 ~heap_base:32768 (fun eng ctx m ->
       ignore
         (Kernel.Syscalls.mkdirat ctx ~dirfd:Kernel.Syscalls.at_fdcwd ~path:"/tmp"
            ~mode:0o777);
       ignore
         (Kernel.Syscalls.symlinkat ctx ~target:"/etc/target"
            ~dirfd:Kernel.Syscalls.at_fdcwd ~path:link_path);
-      let mem = Wasm.Rt.Memory.create ~min_pages:1 ~max_pages:1 in
-      Wasm.Rt.Memory.write_string mem ~addr:path_addr (link_path ^ "\000");
-      let _, m = Virt.Native_run.make_proc eng task mem ~heap_base:32768 in
-      out := Some (f eng ctx m));
-  Option.get !out
+      Wasm.Rt.Memory.write_string (Wasm.Rt.memory0 m) ~addr:path_addr
+        (link_path ^ "\000");
+      f eng ctx m)
 
 let i64s l = Array.of_list (List.map (fun v -> Wasm.Values.I64 v) l)
 
@@ -171,6 +164,40 @@ let test_rv_deadlock () =
   deadlocks "rv32" (fun () ->
       ignore (Virt.Rv_run.run (Minic.Mc_rv.compile (Minic.parse_with_libc paused))))
 
+(* ---- guest faults on native and RV32 end in a status ---- *)
+
+let native src = Virt.Native_run.run (Minic.Mc_native.compile (Minic.parse_with_libc src))
+let rv32 src = Virt.Rv_run.run (Minic.Mc_rv.compile (Minic.parse_with_libc src))
+
+(* the status the engine gives a Wasm trap *)
+let traps name (r : Virt.Guest.result) =
+  Alcotest.(check int) name (Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigill)
+    r.Virt.Guest.r_status
+
+let test_native_out_of_bounds_load () =
+  traps "native load"
+    (native
+       {| int main() { char *p = (char*)2147483000; printi(p[100000]); return 0; } |})
+
+let test_native_memset_past_end () =
+  traps "native memset" (native {| int main() { memset((char*)2147483000, 1, 100); return 0; } |})
+
+let test_native_division_by_zero () =
+  traps "native 5 / 0"
+    (native {| int main() { int z = 0; printi(5 / z); return 0; } |})
+
+let test_rv_memfill_bad_pointer () =
+  traps "rv32 memfill" (rv32 {| int main() { memset((char*)2147483000, 1, 100); return 0; } |})
+
+let test_rv_argv_copy_bad_pointer () =
+  (* an unwritable buffer is a failed copy (-1), as on every backend *)
+  let r =
+    rv32
+      {| int main() { printi(argv_copy((char*)2147483647, 0)); return 0; } |}
+  in
+  Alcotest.(check (pair int string)) "rv32 argv_copy" (0, "-1")
+    (r.Virt.Guest.r_status, r.Virt.Guest.r_output)
+
 let tests =
   [
     Alcotest.test_case "each syscall declared once" `Quick test_one_table;
@@ -182,4 +209,14 @@ let tests =
     Alcotest.test_case "hostile arguments never escape" `Quick test_hostile_arguments;
     Alcotest.test_case "blocked native program deadlocks" `Quick test_native_deadlock;
     Alcotest.test_case "blocked RV32 program deadlocks" `Quick test_rv_deadlock;
+    Alcotest.test_case "native out-of-bounds load traps" `Quick
+      test_native_out_of_bounds_load;
+    Alcotest.test_case "native memset past the end traps" `Quick
+      test_native_memset_past_end;
+    Alcotest.test_case "native division by zero traps" `Quick
+      test_native_division_by_zero;
+    Alcotest.test_case "RV32 memfill to a bad pointer traps" `Quick
+      test_rv_memfill_bad_pointer;
+    Alcotest.test_case "RV32 argv_copy to a bad pointer fails" `Quick
+      test_rv_argv_copy_bad_pointer;
   ]
