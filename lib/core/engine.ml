@@ -108,10 +108,12 @@ let fresh_mem_id eng =
   eng.next_mem_id <- id + 1;
   id
 
+(* Called at every safepoint poll and crossing: [Hashtbl.find] builds no
+   option, so a poll with nothing pending allocates nothing. *)
 let proc_of eng (m : Rt.machine) : proc =
-  match Hashtbl.find_opt eng.procs m.Rt.m_pid with
-  | Some p -> p
-  | None -> Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
+  try Hashtbl.find eng.procs m.Rt.m_pid
+  with Not_found ->
+    Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
 
 let find_proc eng tid = Hashtbl.find_opt eng.procs tid
 

@@ -27,7 +27,7 @@ let metrics_only = { c_metrics = true; c_trace = false; c_profile = false }
     scheduling never cross-nests with the per-process syscall lanes. *)
 let sched_pid = 999_999
 
-type prof_state = { mutable ps_last_steps : int64 }
+type prof_state = { mutable ps_last_steps : int }
 
 type t = {
   cfg : config;
@@ -36,14 +36,14 @@ type t = {
   tb : Tracebuf.t;
   pf : Profile.t;
   prof : (int, prof_state) Hashtbl.t; (* pid -> step counter at last sample *)
-  instr_base : (int, int64 * int64) Hashtbl.t;
+  instr_base : (int, int * int) Hashtbl.t;
       (* pid -> (steps, fused dispatches) at machine birth *)
   mutable instructions : int64; (* retired across all exited machines *)
   mutable fused : int64; (* superinstruction dispatches, same lifecycle *)
   mutable fuse_before : int; (* flat ops of all built images, pre-fusion *)
   mutable fuse_after : int;
   mutable fuse_sites : int; (* static superinstruction sites *)
-  mutable polls : int64;
+  mutable polls : int;
   mutable traps : int;
   mutable ctx_switches : int;
   mutable procs : int;
@@ -71,7 +71,7 @@ let create cfg =
     fuse_before = 0;
     fuse_after = 0;
     fuse_sites = 0;
-    polls = 0L;
+    polls = 0;
     traps = 0;
     ctx_switches = 0;
     procs = 0;
@@ -119,13 +119,13 @@ let syscall_end o ~pid ~tid ~name ~ts ~ns ~result ~(stack : unit -> string list)
     before the stack mutates, so the charged stack is the one that ran.
     The first sample for a pid only establishes the baseline (handles
     fork, whose child clones the parent's step counter). *)
-let prof_sample o ~pid ~(steps : int64) ~(stack : unit -> string list) =
+let prof_sample o ~pid ~(steps : int) ~(stack : unit -> string list) =
   match Hashtbl.find_opt o.prof pid with
   | None -> Hashtbl.replace o.prof pid { ps_last_steps = steps }
   | Some ps ->
-      let delta = Int64.sub steps ps.ps_last_steps in
+      let delta = steps - ps.ps_last_steps in
       ps.ps_last_steps <- steps;
-      if Int64.compare delta 0L > 0 then Profile.add o.pf (stack ()) delta
+      if delta > 0 then Profile.add o.pf (stack ()) (Int64.of_int delta)
 
 (** Forget a pid's sample baseline (exec replaces the machine; its step
     counter restarts). *)
@@ -140,12 +140,12 @@ let instr_retire o ~pid ~steps ~fused =
   let sb, fb =
     match Hashtbl.find_opt o.instr_base pid with
     | Some b -> b
-    | None -> (0L, 0L)
+    | None -> (0, 0)
   in
-  let d = Int64.sub steps sb in
-  if Int64.compare d 0L > 0 then o.instructions <- Int64.add o.instructions d;
-  let df = Int64.sub fused fb in
-  if Int64.compare df 0L > 0 then o.fused <- Int64.add o.fused df;
+  let d = steps - sb in
+  if d > 0 then o.instructions <- Int64.add o.instructions (Int64.of_int d);
+  let df = fused - fb in
+  if df > 0 then o.fused <- Int64.add o.fused (Int64.of_int df);
   Hashtbl.remove o.instr_base pid
 
 (* ---- macro-op fusion coverage ---- *)
@@ -196,7 +196,7 @@ let signal_fatal o ~pid ~tid ~signo ~ts =
 
 (* ---- engine counters ---- *)
 
-let safepoint_poll o = o.polls <- Int64.add o.polls 1L
+let safepoint_poll o = o.polls <- o.polls + 1
 let trap o = o.traps <- o.traps + 1
 
 (* ---- scheduler observation ---- *)
@@ -286,7 +286,7 @@ let run_counters o =
     rc_fusion_sites = o.fuse_sites;
     rc_fusion_ops_before = o.fuse_before;
     rc_fusion_ops_after = o.fuse_after;
-    rc_safepoint_polls = o.polls;
+    rc_safepoint_polls = Int64.of_int o.polls;
     rc_traps = o.traps;
     rc_ctx_switches = o.ctx_switches;
     rc_processes = o.procs;
@@ -302,7 +302,7 @@ let metrics_json o : string =
   let b = Buffer.create 4096 in
   Printf.bprintf b "{\"schema\":\"wali-metrics\",\"version\":%d," schema_version;
   Printf.bprintf b
-    "\"run\":{\"wall_ns\":%Ld,\"idle_ns\":%Ld,\"instructions\":%Ld,\"fused_dispatches\":%Ld,\"fusion_sites\":%d,\"fusion_ops_before\":%d,\"fusion_ops_after\":%d,\"safepoint_polls\":%Ld,\"traps\":%d,\"processes\":%d,\"profile_ns\":%Ld},"
+    "\"run\":{\"wall_ns\":%Ld,\"idle_ns\":%Ld,\"instructions\":%Ld,\"fused_dispatches\":%Ld,\"fusion_sites\":%d,\"fusion_ops_before\":%d,\"fusion_ops_after\":%d,\"safepoint_polls\":%d,\"traps\":%d,\"processes\":%d,\"profile_ns\":%Ld},"
     o.wall_ns o.idle_ns o.instructions o.fused o.fuse_sites o.fuse_before
     o.fuse_after o.polls o.traps o.procs
     (Profile.total o.pf);
@@ -364,7 +364,7 @@ let report o : string =
      Printf.bprintf b
        "  fusion          %Ld dispatches (%.1f%% of instrs), %d sites, ops %d -> %d\n"
        o.fused saved o.fuse_sites o.fuse_before o.fuse_after);
-  Printf.bprintf b "  safepoint polls %Ld\n" o.polls;
+  Printf.bprintf b "  safepoint polls %d\n" o.polls;
   Printf.bprintf b "  traps           %d\n" o.traps;
   if o.cfg.c_profile then
     Printf.bprintf b "  profiled        %Ld ns over %d stacks\n"

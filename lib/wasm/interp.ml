@@ -41,7 +41,11 @@ let addr_of (m : machine) offset =
   let a = Machine.pop m in
   (Int32.to_int (as_i32 a) land 0xFFFFFFFF) + offset
 
-let i32_of_bool b = I32 (if b then 1l else 0l)
+(* The two results of every i32 comparison, shared so a relop or eqz
+   allocates nothing. *)
+let i32_true = I32 1l
+let i32_false = I32 0l
+let i32_of_bool b = if b then i32_true else i32_false
 
 let exec_load (m : machine) mem kind addr =
   let v =
@@ -152,6 +156,17 @@ let exec_i64_relop o a b =
   | Ast.Ge_s -> Int64.compare a b >= 0
   | Ast.Ge_u -> I64_op.unsigned_compare a b >= 0
 
+(* Round to the nearest integer, ties to even, keeping the sign of a zero
+   result: [Float.round] takes ties away from zero. *)
+let nearest x =
+  let r = Float.round x in
+  let r =
+    if Float.abs (x -. Float.trunc x) = 0.5 && Float.rem r 2.0 <> 0.0 then
+      r -. Float.copy_sign 1.0 x
+    else r
+  in
+  Float.copy_sign r x
+
 let exec_f_unop o x =
   match o with
   | Ast.Neg -> -.x
@@ -160,7 +175,7 @@ let exec_f_unop o x =
   | Ast.Ceil -> Float.ceil x
   | Ast.Floor -> Float.floor x
   | Ast.Trunc -> Float.trunc x
-  | Ast.Nearest -> Float.round x (* round-half-away; close enough for our use *)
+  | Ast.Nearest -> nearest x
 
 let exec_f_binop o a b =
   match o with
@@ -277,7 +292,7 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine) ~(results : int) :
     let mch = !m in
     let op = fr.fr_code.Code.fc_ops.(fr.fr_pc) in
     fr.fr_pc <- fr.fr_pc + 1;
-    mch.steps <- Int64.add mch.steps 1L;
+    mch.steps <- mch.steps + 1;
     match op with
     | Code.K_unreachable -> trap "unreachable executed"
     | Code.K_br j -> jump mch fr j
@@ -402,94 +417,94 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine) ~(results : int) :
        fire, so instruction counts (and trap-time counts) are identical
        to the unfused engine. *)
     | Code.F_ll_i32_binop (a, b, o) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 2;
+        mch.fused <- mch.fused + 1;
         Machine.push mch
           (I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b))))
     | Code.F_ll_i32_binop_set (a, b, o, d) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 3;
+        mch.fused <- mch.fused + 1;
         fr.fr_locals.(d) <-
           I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b)))
     | Code.F_lc_i32_binop (a, c, o) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 2;
+        mch.fused <- mch.fused + 1;
         Machine.push mch (I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) c))
     | Code.F_lc_i32_binop_set (a, c, o, d) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 3;
+        mch.fused <- mch.fused + 1;
         fr.fr_locals.(d) <- I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) c)
     | Code.F_const_i32_binop (c, o) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let t = mch.sp - 1 in
         mch.stack.(t) <- I32 (exec_i32_binop o (as_i32 mch.stack.(t)) c)
     | Code.F_i32_binop_set (o, d) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let b = as_i32 mch.stack.(mch.sp - 1) in
         let a = as_i32 mch.stack.(mch.sp - 2) in
         mch.sp <- mch.sp - 2;
         fr.fr_locals.(d) <- I32 (exec_i32_binop o a b)
     | Code.F_local_load (a, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let mem = fr.fr_inst.i_memories.(0) in
         let addr = (Int32.to_int (as_i32 fr.fr_locals.(a)) land 0xFFFFFFFF) + off in
         (try exec_load mch mem kind addr
          with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
     | Code.F_i32_relop_br_if (o, j) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let b = as_i32 mch.stack.(mch.sp - 1) in
         let a = as_i32 mch.stack.(mch.sp - 2) in
         mch.sp <- mch.sp - 2;
         if exec_i32_relop o a b then jump mch fr j
     | Code.F_ll_i32_relop_br_if (a, b, o, j) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 3;
+        mch.fused <- mch.fused + 1;
         if exec_i32_relop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b))
         then jump mch fr j
     | Code.F_lc_i32_relop_br_if (a, c, o, j) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 3;
+        mch.fused <- mch.fused + 1;
         if exec_i32_relop o (as_i32 fr.fr_locals.(a)) c then jump mch fr j
     | Code.F_lc_store (a, v, kind, off) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 2;
+        mch.fused <- mch.fused + 1;
         let mem = fr.fr_inst.i_memories.(0) in
         let addr = (Int32.to_int (as_i32 fr.fr_locals.(a)) land 0xFFFFFFFF) + off in
         (try exec_store mem kind addr v
          with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
     | Code.F_i32_eqz_br_if j ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         if as_i32 (Machine.pop mch) = 0l then jump mch fr j
     | Code.F_i32_relop_eqz_br_if (o, j) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 2;
+        mch.fused <- mch.fused + 1;
         let b = as_i32 mch.stack.(mch.sp - 1) in
         let a = as_i32 mch.stack.(mch.sp - 2) in
         mch.sp <- mch.sp - 2;
         if not (exec_i32_relop o a b) then jump mch fr j
     | Code.F_ll_i32_relop_eqz_br_if (a, b, o, j) ->
-        mch.steps <- Int64.add mch.steps 4L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 4;
+        mch.fused <- mch.fused + 1;
         if not (exec_i32_relop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b)))
         then jump mch fr j
     | Code.F_lc_i32_relop_eqz_br_if (a, c, o, j) ->
-        mch.steps <- Int64.add mch.steps 4L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 4;
+        mch.fused <- mch.fused + 1;
         if not (exec_i32_relop o (as_i32 fr.fr_locals.(a)) c) then jump mch fr j
     | Code.F_l_i32_binop (b, o) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let t = mch.sp - 1 in
         mch.stack.(t) <-
           I32 (exec_i32_binop o (as_i32 mch.stack.(t)) (as_i32 fr.fr_locals.(b)))
     | Code.F_i32_binop_load (o, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let b = as_i32 mch.stack.(mch.sp - 1) in
         let a = as_i32 mch.stack.(mch.sp - 2) in
         mch.sp <- mch.sp - 2;
@@ -498,16 +513,16 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine) ~(results : int) :
         (try exec_load mch mem kind addr
          with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
     | Code.F_i32_binop_binop (o1, o2) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let z = as_i32 mch.stack.(mch.sp - 1) in
         let y = as_i32 mch.stack.(mch.sp - 2) in
         let x = as_i32 mch.stack.(mch.sp - 3) in
         mch.sp <- mch.sp - 2;
         mch.stack.(mch.sp - 1) <- I32 (exec_i32_binop o2 x (exec_i32_binop o1 y z))
     | Code.F_i32_binop_store (o, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let y = as_i32 mch.stack.(mch.sp - 1) in
         let x = as_i32 mch.stack.(mch.sp - 2) in
         let a = mch.stack.(mch.sp - 3) in
@@ -517,19 +532,19 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine) ~(results : int) :
         (try exec_store mem kind addr (I32 (exec_i32_binop o x y))
          with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
     | Code.F_l_store (v, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let mem = fr.fr_inst.i_memories.(0) in
         let addr = addr_of mch off in
         (try exec_store mem kind addr fr.fr_locals.(v)
          with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
     | Code.F_set_get i ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         fr.fr_locals.(i) <- Machine.peek mch
     | Code.F_i32_eqz_eqz ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
+        mch.steps <- mch.steps + 1;
+        mch.fused <- mch.fused + 1;
         let t = mch.sp - 1 in
         mch.stack.(t) <- i32_of_bool (as_i32 mch.stack.(t) <> 0l)
   in

@@ -178,7 +178,7 @@ end
 module Convert = struct
   let trunc_f64_i32_s f =
     if Float.is_nan f then trap "invalid conversion to integer";
-    if f >= 2147483648.0 || f < -2147483649.0 then trap "integer overflow";
+    if f >= 2147483648.0 || f <= -2147483649.0 then trap "integer overflow";
     Int32.of_float f
 
   let trunc_f64_i32_u f =

@@ -2,8 +2,8 @@
    table-driven sweep of adversarial arguments over every entry, one
    regression test per host exception that used to escape, the
    native/RV32 runners ending a blocked guest in [Fiber.Deadlock]
-   instead of spinning, and native/RV32 guest faults ending in the
-   status of a Wasm trap. *)
+   instead of spinning, unbounded Wasm recursion and native/RV32 guest
+   faults ending in the status of a Wasm trap. *)
 
 open Wali
 
@@ -164,6 +164,18 @@ let test_rv_deadlock () =
   deadlocks "rv32" (fun () ->
       ignore (Virt.Rv_run.run (Minic.Mc_rv.compile (Minic.parse_with_libc paused))))
 
+(* ---- unbounded recursion ends in a trap ---- *)
+
+let test_wasm_call_depth () =
+  let binary =
+    Minic.to_wasm_binary
+      {| int f(int n) { return f(n + 1) + 1; }
+         int main() { return f(0); } |}
+  in
+  let status, _, _ = Interface.run_program ~binary ~argv:[ "deep" ] ~env:[] () in
+  Alcotest.(check int) "wasm recursion"
+    (Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigill) status
+
 (* ---- guest faults on native and RV32 end in a status ---- *)
 
 let native src = Virt.Native_run.run (Minic.Mc_native.compile (Minic.parse_with_libc src))
@@ -209,6 +221,7 @@ let tests =
     Alcotest.test_case "hostile arguments never escape" `Quick test_hostile_arguments;
     Alcotest.test_case "blocked native program deadlocks" `Quick test_native_deadlock;
     Alcotest.test_case "blocked RV32 program deadlocks" `Quick test_rv_deadlock;
+    Alcotest.test_case "unbounded Wasm recursion traps" `Quick test_wasm_call_depth;
     Alcotest.test_case "native out-of-bounds load traps" `Quick
       test_native_out_of_bounds_load;
     Alcotest.test_case "native memset past the end traps" `Quick

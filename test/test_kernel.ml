@@ -311,6 +311,20 @@ let test_ignored_signal_discarded () =
       ok (Syscalls.kill ctx ~pid:t.Task.tgid ~signo:Ktypes.sigusr1);
       Alcotest.(check bool) "discarded" false (Task.has_deliverable_signal t))
 
+(* Every safepoint poll asks this; with nothing pending it allocates
+   nothing, which holds only while the Sigset helpers inline into it. *)
+let test_idle_signal_check_allocates_nothing () =
+  in_kernel (fun _k ctx ->
+      let t = ctx.Syscalls.t in
+      let deliverable = ref 0 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        if Task.has_deliverable_signal t then incr deliverable
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "nothing deliverable" 0 !deliverable;
+      Alcotest.(check (float 0.)) "minor words over 10k checks" 0. words)
+
 let test_kill_pgroup () =
   in_kernel (fun k ctx ->
       let mk () =
@@ -539,6 +553,8 @@ let tests =
     Alcotest.test_case "socketpair" `Quick test_socketpair;
     Alcotest.test_case "poll readiness" `Quick test_poll;
     Alcotest.test_case "poll timeout advances virtual clock" `Quick test_poll_timeout_advances_clock;
+    Alcotest.test_case "idle signal check allocates nothing" `Quick
+      test_idle_signal_check_allocates_nothing;
     Alcotest.test_case "futex wait/wake" `Quick test_futex;
     Alcotest.test_case "nanosleep" `Quick test_nanosleep;
     Alcotest.test_case "/proc/self/mem exists in kernel" `Quick test_proc_self_mem_exists;

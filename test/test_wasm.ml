@@ -275,6 +275,34 @@ let test_conversions () =
     [ I32_const (-1l); I64_extend_i32 ZX; I64_const 0xFFFFFFFFL; I64_relop Eq ]
     [] 1l
 
+(* nearest rounds ties to even and keeps the sign of a zero result *)
+let test_nearest () =
+  let f64 x = Values.F64 (Int64.bits_of_float x)
+  and f32 x = Values.F32 (Int32.bits_of_float x) in
+  let check ty name body expect =
+    match run_func ~results:[ ty ] body [] with
+    | Interp.R_done [ v ] -> Alcotest.check value name expect v
+    | _ -> Alcotest.failf "%s: no single result" name
+  in
+  List.iter
+    (fun (x, r) ->
+      check Types.T_f64 (Printf.sprintf "f64.nearest %g" x)
+        [ F64_const (Int64.bits_of_float x); F64_unop Nearest ] (f64 r);
+      check Types.T_f32 (Printf.sprintf "f32.nearest %g" x)
+        [ F32_const (Int32.bits_of_float x); F32_unop Nearest ] (f32 r))
+    [
+      (2.5, 2.0); (0.5, 0.0); (-0.5, -0.0); (3.5, 4.0); (-2.5, -2.0);
+      (1.4, 1.0); (-1.6, -2.0); (-0.3, -0.0); (7.0, 7.0); (4.5, 4.0);
+    ]
+
+(* i32.trunc_f64_s traps outside (-2^31 - 1, 2^31) and truncates inside *)
+let test_trunc_f64_i32_bounds () =
+  let trunc x = [ F64_const (Int64.bits_of_float x); I32_trunc_f64 SX ] in
+  expect_trap (trunc (-2147483649.0)) [] "integer overflow";
+  expect_trap (trunc 2147483648.0) [] "integer overflow";
+  expect_i32 (trunc (-2147483648.9)) [] (-2147483648l);
+  expect_i32 (trunc 2147483647.9) [] 2147483647l
+
 let test_select_drop () =
   expect_i32
     [ I32_const 10l; I32_const 20l; I32_const 1l; Select ]
@@ -428,6 +456,56 @@ let test_poll_safepoints () =
   ignore (Interp.invoke m (Rt.exported_func inst "spin") [ Values.I32 10l ]);
   Alcotest.(check int) "polls" 11 !polls
 
+(* The dispatch loop allocates only the values ops produce: no boxed
+   step counter, no boxed comparison result. A loop of i32 adds and
+   compare-branches makes two fresh i32 per iteration of 13 ops. *)
+let test_dispatch_allocation () =
+  let body =
+    [
+      Block
+        ( Bt_none,
+          [
+            Loop
+              ( Bt_none,
+                [
+                  Local_get 1; Local_get 0; I32_relop Ge_s; Br_if 1;
+                  Local_get 2; Local_get 1; I32_binop Add; Local_set 2;
+                  Local_get 1; I32_const 1l; I32_binop Add; Local_set 1;
+                  Br 0;
+                ] );
+          ] );
+      Local_get 2;
+    ]
+  in
+  let words_per_instr fuse =
+    let b = Builder.create ~name:"t" () in
+    let f =
+      Builder.func b ~name:"f" ~params:[ Types.T_i32 ] ~results:[ Types.T_i32 ]
+        ~locals:[ Types.T_i32; Types.T_i32 ] body
+    in
+    Builder.export_func b "f" f;
+    let cm = Code.compile_module ~fuse (Builder.build b) in
+    let inst, _ = Link.instantiate Link.empty_resolver cm in
+    let mach = Rt.Machine.create inst in
+    let entry = Rt.exported_func inst "f" in
+    let w0 = Gc.minor_words () in
+    let r = Interp.invoke mach entry [ Values.I32 100_000l ] in
+    let words = Gc.minor_words () -. w0 in
+    (match r with
+    | Interp.R_done [ Values.I32 v ] ->
+        Alcotest.(check int32) "sum" (Int32.of_int (100_000 * 99_999 / 2)) v
+    | _ -> Alcotest.fail "loop did not return its sum");
+    words /. float mach.Rt.steps
+  in
+  List.iter
+    (fun fuse ->
+      let w = words_per_instr fuse in
+      if w > 1.0 then
+        Alcotest.failf "%s: %.2f minor words per instruction (limit 1.0)"
+          (if fuse then "fused" else "unfused")
+          w)
+    [ true; false ]
+
 (* QCheck properties *)
 
 let leb_roundtrip_i64 =
@@ -497,12 +575,16 @@ let tests =
     Alcotest.test_case "globals" `Quick test_globals;
     Alcotest.test_case "i64 rotl" `Quick test_i64_ops;
     Alcotest.test_case "conversions" `Quick test_conversions;
+    Alcotest.test_case "f32/f64.nearest ties to even" `Quick test_nearest;
+    Alcotest.test_case "i32.trunc_f64_s bounds" `Quick test_trunc_f64_i32_bounds;
     Alcotest.test_case "select" `Quick test_select_drop;
     Alcotest.test_case "validator rejects" `Quick test_validation_rejects;
     Alcotest.test_case "binary round-trip" `Quick test_binary_roundtrip;
     Alcotest.test_case "host function" `Quick test_host_func;
     Alcotest.test_case "machine clone isolates memory" `Quick test_machine_clone;
     Alcotest.test_case "loop safepoints" `Quick test_poll_safepoints;
+    Alcotest.test_case "dispatch allocates only op results" `Quick
+      test_dispatch_allocation;
     QCheck_alcotest.to_alcotest leb_roundtrip_i64;
     QCheck_alcotest.to_alcotest leb_roundtrip_u32;
     QCheck_alcotest.to_alcotest i32_ops_match_native;
